@@ -84,8 +84,9 @@ fn main() {
                 let n = it
                     .next()
                     .and_then(|v| v.parse::<usize>().ok())
+                    .filter(|&n| n > 0)
                     .unwrap_or_else(|| usage("--samples needs a positive integer"));
-                std::env::set_var("LADM_BENCH_SAMPLES", n.max(1).to_string());
+                std::env::set_var("LADM_BENCH_SAMPLES", n.to_string());
             }
             "--validate" => {
                 validate_path = Some(

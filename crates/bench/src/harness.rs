@@ -62,21 +62,22 @@ const DEFAULT_SAMPLES: usize = 5;
 fn parse_bench_samples(raw: Option<&str>) -> Result<usize, String> {
     match raw {
         None => Ok(DEFAULT_SAMPLES),
-        Some(v) => v.trim().parse::<usize>().map(|n| n.max(1)).map_err(|e| {
-            format!(
-                "ignoring unparsable LADM_BENCH_SAMPLES={v:?} ({e}); \
+        Some(v) => match v.trim().parse::<usize>() {
+            Ok(n) if n > 0 => Ok(n),
+            _ => Err(format!(
+                "ignoring LADM_BENCH_SAMPLES={v:?} (needs a positive integer); \
                  using the default of {DEFAULT_SAMPLES}"
-            )
-        }),
+            )),
+        },
     }
 }
 
 /// Times `f` and prints a one-line summary, standing in for the
 /// criterion harness (the workspace builds with no registry
 /// dependencies). One warm-up call, then `LADM_BENCH_SAMPLES` timed
-/// samples (default 5; an unparsable value warns on stderr instead of
-/// being silently ignored); reports min and mean wall time and returns
-/// them so callers can serialize instead of re-timing.
+/// samples (default 5; a value that is not a positive integer warns on
+/// stderr instead of being silently ignored); reports min and mean wall
+/// time and returns them so callers can serialize instead of re-timing.
 pub fn bench_function<F: FnMut()>(name: &str, mut f: F) -> BenchSummary {
     let samples = match parse_bench_samples(std::env::var("LADM_BENCH_SAMPLES").ok().as_deref()) {
         Ok(n) => n,
@@ -159,7 +160,8 @@ mod tests {
         assert_eq!(parse_bench_samples(None), Ok(DEFAULT_SAMPLES));
         assert_eq!(parse_bench_samples(Some("12")), Ok(12));
         assert_eq!(parse_bench_samples(Some(" 3 ")), Ok(3));
-        assert_eq!(parse_bench_samples(Some("0")), Ok(1), "clamped to 1");
+        let err = parse_bench_samples(Some("0")).expect_err("zero must warn");
+        assert!(err.contains("LADM_BENCH_SAMPLES=\"0\""), "{err}");
         let err = parse_bench_samples(Some("fast")).expect_err("typo must warn");
         assert!(err.contains("LADM_BENCH_SAMPLES=\"fast\""), "{err}");
         assert!(err.contains("default of 5"), "{err}");

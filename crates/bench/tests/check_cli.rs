@@ -2,7 +2,7 @@
 //! compiled binary, fed two reports via `--against` (pure file-vs-file
 //! comparison, no simulation), must exit zero when the current report is
 //! within tolerance and non-zero when a synthetic regression is
-//! injected.
+//! injected. One more case pins the `--samples 0` usage error.
 
 use std::process::Command;
 
@@ -145,4 +145,18 @@ fn malformed_input_is_a_distinct_error() {
     let (ok, text) = run_check("malformed", "not json", &base, "10");
     assert!(!ok);
     assert!(text.contains("cannot compare"), "{text}");
+}
+
+#[test]
+fn zero_samples_is_a_usage_error() {
+    let out = Command::new(BIN)
+        .args(["--samples", "0"])
+        .output()
+        .expect("spawn ladm-bench");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--samples needs a positive integer"),
+        "{stderr}"
+    );
 }

@@ -401,12 +401,12 @@ fn parse_site_list(json: Option<&Json>, num_args: usize) -> Result<Vec<SiteSpec>
 
 fn parse_config_obj(c: &Json) -> Result<ConfigSpec, String> {
     Ok(ConfigSpec {
-        gpus: get_u32(c, "gpus")?.max(1),
-        chiplets: get_u32(c, "chiplets")?.max(1),
-        sms_per_chiplet: get_u32(c, "sms_per_chiplet")?.max(1),
-        warps_per_sm: get_u32(c, "warps_per_sm")?.max(1),
-        max_tbs_per_sm: get_u32(c, "max_tbs_per_sm")?.max(1),
-        issue: get_u32(c, "issue")?.max(1),
+        gpus: get_count(c, "gpus")?,
+        chiplets: get_count(c, "chiplets")?,
+        sms_per_chiplet: get_count(c, "sms_per_chiplet")?,
+        warps_per_sm: get_count(c, "warps_per_sm")?,
+        max_tbs_per_sm: get_count(c, "max_tbs_per_sm")?,
+        issue: get_count(c, "issue")?,
         l1_sets: get_u32(c, "l1_sets")?,
         l1_assoc: get_u32(c, "l1_assoc")?,
         l1_latency: get_u64(c, "l1_latency")?,
@@ -446,6 +446,15 @@ fn get_u64(v: &Json, key: &str) -> Result<u64, String> {
 fn get_u32(v: &Json, key: &str) -> Result<u32, String> {
     let n = get_u64(v, key)?;
     u32::try_from(n).map_err(|_| format!("'{key}' exceeds u32 range"))
+}
+
+/// A `u32` count of hardware units, which must be at least 1: a zero is
+/// rejected rather than replayed as some other machine.
+fn get_count(v: &Json, key: &str) -> Result<u32, String> {
+    match get_u32(v, key)? {
+        0 => Err(format!("'{key}' must be at least 1")),
+        n => Ok(n),
+    }
 }
 
 fn get_i64(v: &Json, key: &str) -> Result<i64, String> {
@@ -549,6 +558,24 @@ mod tests {
         assert!(parse(&render(&spec))
             .unwrap_err()
             .contains("references arg"));
+    }
+
+    /// Sets the first `"sms_per_chiplet"` value in a rendered document
+    /// to 0.
+    fn zero_sms_per_chiplet(text: &str) -> String {
+        let key = "\"sms_per_chiplet\": ";
+        let at = text.find(key).expect("rendered config has the field") + key.len();
+        let end = at + text[at..].find(',').unwrap();
+        format!("{}0{}", &text[..at], &text[end..])
+    }
+
+    #[test]
+    fn zero_unit_counts_are_rejected() {
+        let err = parse(&zero_sms_per_chiplet(&render(&trial_spec(9, 4)))).unwrap_err();
+        assert!(err.contains("sms_per_chiplet"), "{err}");
+        let session = render_session(&session_spec(9, 4));
+        let err = parse_session(&zero_sms_per_chiplet(&session)).unwrap_err();
+        assert!(err.contains("sms_per_chiplet"), "{err}");
     }
 
     #[test]

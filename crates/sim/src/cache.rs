@@ -277,9 +277,14 @@ impl SectoredCache {
 
     /// Invalidates the entire cache (kernel-boundary coherence flush).
     /// Statistics are preserved.
+    ///
+    /// Clears only the packed tags: like [`SectoredCache::invalidate`],
+    /// it leaves stale LRU stamps behind. No path reads the stamp of an
+    /// invalid way: victim selection keys every invalid way `(0, 0)`,
+    /// `holds` requires a non-zero sector mask, and a refill stamps the
+    /// way afresh.
     pub fn flush(&mut self) {
         self.meta.fill(0);
-        self.lru.fill(0);
     }
 
     /// Sector hits since construction.
@@ -422,6 +427,53 @@ mod tests {
         assert_eq!(c.probe(0x0000), Lookup::LineMiss);
         assert_eq!(c.access(0x0000), Lookup::LineMiss);
         assert_eq!(c.access(0x0000), Lookup::Hit);
+    }
+
+    /// A flushed cache behaves exactly like a freshly built one: the
+    /// stale LRU stamps `flush` leaves behind are never read.
+    #[test]
+    fn flushed_cache_replays_like_a_fresh_one() {
+        use ladm_core::rng::SplitMix64;
+        let config = CacheConfig {
+            bytes: 4 * 4 * 128,
+            assoc: 4,
+            line_bytes: 128,
+            sector_bytes: 32,
+            latency: 1,
+        };
+        // Mixed traffic over 64 lines (4× the capacity), so sets evict.
+        let run = |c: &mut SectoredCache, rng: &mut SplitMix64| -> Vec<Option<Lookup>> {
+            (0..4000)
+                .map(|_| {
+                    let addr = rng.below(64 * 128);
+                    match rng.below(8) {
+                        0 => {
+                            c.fill(addr);
+                            None
+                        }
+                        1 => {
+                            c.invalidate(addr);
+                            None
+                        }
+                        2 | 3 => Some(c.probe(addr)),
+                        _ => Some(c.access(addr)),
+                    }
+                })
+                .collect()
+        };
+        for seed in 0..8u64 {
+            let mut used = SectoredCache::new(&config);
+            run(&mut used, &mut SplitMix64::new(seed));
+            used.flush();
+            let (hits0, misses0) = (used.hits(), used.misses());
+            let mut fresh = SectoredCache::new(&config);
+            let replay = SplitMix64::new(0xF1u64 << 32 | seed);
+            let a = run(&mut used, &mut replay.clone());
+            let b = run(&mut fresh, &mut replay.clone());
+            assert_eq!(a, b, "seed {seed}");
+            assert_eq!(used.hits() - hits0, fresh.hits(), "seed {seed}");
+            assert_eq!(used.misses() - misses0, fresh.misses(), "seed {seed}");
+        }
     }
 
     /// An invalidated way remembers nothing: refilling a different line

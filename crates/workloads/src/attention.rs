@@ -25,7 +25,7 @@
 
 use crate::spec::dsl::*;
 use crate::spec::{AffineKernel, Scale};
-use crate::suite::{Workload, WorkloadKind};
+use crate::suite::{Workload, WorkloadKind, SUITE_LEN, TABLE};
 use ladm_core::analysis::GridShape;
 use ladm_core::expr::Expr;
 use ladm_core::launch::{ArgStatic, KernelStatic, LaunchInfo};
@@ -248,13 +248,7 @@ pub fn attn_decode(scale: Scale) -> Workload {
 /// decode sequence), looked up by `ladm_workloads::by_name` alongside
 /// the Table IV suite but **not** counted in it.
 pub fn attention(scale: Scale) -> Vec<Workload> {
-    vec![
-        kv_append(scale),
-        attn_qk(scale),
-        attn_softmax(scale),
-        attn_pv(scale),
-        attn_decode(scale),
-    ]
+    TABLE[SUITE_LEN..].iter().map(|(_, f)| f(scale)).collect()
 }
 
 #[cfg(test)]

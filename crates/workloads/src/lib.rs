@@ -11,6 +11,11 @@
 //! analysis can never be tested against a different program than the one
 //! that runs.
 //!
+//! Every workload is listed once, by name, in a single name→constructor
+//! table in [`suite`](mod@suite): [`suite()`](fn@suite) and
+//! [`attention()`](fn@attention) build its two halves, and [`by_name`]
+//! builds only the one workload it returns.
+//!
 //! ## Example
 //!
 //! ```

@@ -3,7 +3,7 @@
 
 use crate::expect::{SiteExpectation, Waiver};
 use crate::spec::Scale;
-use crate::{irregular, regular};
+use crate::{attention, irregular, regular};
 use ladm_sim::KernelExec;
 use std::fmt;
 
@@ -180,46 +180,64 @@ impl fmt::Debug for Workload {
     }
 }
 
+/// A named workload constructor.
+type Entry = (&'static str, fn(Scale) -> Workload);
+
+/// Every workload [`by_name`] can build, each once: the 27 Table IV
+/// workloads in Table IV (Figure 9) order, then the attention/KV decode
+/// family. [`suite`], [`crate::attention::attention`] and [`by_name`]
+/// all read this table.
+pub(crate) const TABLE: [Entry; SUITE_LEN + 5] = [
+    ("VecAdd", regular::vecadd),
+    ("SRAD", regular::srad),
+    ("HS", regular::hs),
+    ("ScalarProd", regular::scalarprod),
+    ("BLK", regular::blk),
+    ("Histo-final", regular::histo_final),
+    ("Reduction-k6", regular::reduction),
+    ("Hotspot3D", regular::hotspot3d),
+    ("CONV", regular::conv),
+    ("Histo-main", regular::histo_main),
+    ("FWT-k2", regular::fwt_k2),
+    ("SQ-GEMM", regular::sq_gemm),
+    ("Alexnet-FC-2", regular::alexnet_fc2),
+    ("VGGnet-FC-2", regular::vggnet_fc2),
+    ("Resnet-50-FC", regular::resnet_fc),
+    ("LSTM-1", regular::lstm1),
+    ("LSTM-2", regular::lstm2),
+    ("TRA", regular::tra),
+    ("PageRank", irregular::pagerank),
+    ("BFS-relax", irregular::bfs),
+    ("SSSP", irregular::sssp),
+    ("Random-loc", regular::random_loc),
+    ("Kmeans-noTex", regular::kmeans),
+    ("SpMV-jds", irregular::spmv_jds),
+    ("B+tree", regular::btree),
+    ("LBM", regular::lbm),
+    ("StreamCluster", regular::streamcluster),
+    ("KVAppend", attention::kv_append),
+    ("AttnQK", attention::attn_qk),
+    ("AttnSoftmax", attention::attn_softmax),
+    ("AttnPV", attention::attn_pv),
+    ("AttnDecode", attention::attn_decode),
+];
+
+/// Number of Table IV entries at the head of [`TABLE`].
+pub(crate) const SUITE_LEN: usize = 27;
+
 /// Builds the full 27-workload suite in Table IV order.
 pub fn suite(scale: Scale) -> Vec<Workload> {
-    vec![
-        regular::vecadd(scale),
-        regular::srad(scale),
-        regular::hs(scale),
-        regular::scalarprod(scale),
-        regular::blk(scale),
-        regular::histo_final(scale),
-        regular::reduction(scale),
-        regular::hotspot3d(scale),
-        regular::conv(scale),
-        regular::histo_main(scale),
-        regular::fwt_k2(scale),
-        regular::sq_gemm(scale),
-        regular::alexnet_fc2(scale),
-        regular::vggnet_fc2(scale),
-        regular::resnet_fc(scale),
-        regular::lstm1(scale),
-        regular::lstm2(scale),
-        regular::tra(scale),
-        irregular::pagerank(scale),
-        irregular::bfs(scale),
-        irregular::sssp(scale),
-        regular::random_loc(scale),
-        regular::kmeans(scale),
-        irregular::spmv_jds(scale),
-        regular::btree(scale),
-        regular::lbm(scale),
-        regular::streamcluster(scale),
-    ]
+    TABLE[..SUITE_LEN].iter().map(|(_, f)| f(scale)).collect()
 }
 
 /// Looks a workload up by name (case-insensitive) — the Table IV suite
-/// plus the attention/KV decode family ([`crate::attention`]).
+/// plus the attention/KV decode family ([`mod@crate::attention`]). Builds
+/// only the workload it returns.
 pub fn by_name(name: &str, scale: Scale) -> Option<Workload> {
-    suite(scale)
-        .into_iter()
-        .chain(crate::attention::attention(scale))
-        .find(|w| w.name.eq_ignore_ascii_case(name))
+    TABLE
+        .iter()
+        .find(|(n, _)| n.eq_ignore_ascii_case(name))
+        .map(|(_, f)| f(scale))
 }
 
 /// The machine-learning GEMM subset used by the §IV-C DGX-1 validation.
@@ -266,6 +284,98 @@ mod tests {
         assert!(by_name("sq-gemm", Scale::Test).is_some());
         assert!(by_name("VECADD", Scale::Test).is_some());
         assert!(by_name("nope", Scale::Test).is_none());
+        assert!(by_name("", Scale::Test).is_none());
+        for (name, _) in TABLE {
+            for spelling in [name.to_ascii_lowercase(), name.to_ascii_uppercase()] {
+                let w = by_name(&spelling, Scale::Test).unwrap();
+                assert_eq!(w.name, name, "{spelling}");
+            }
+        }
+    }
+
+    /// The Figure 9 lineup and `tests/fixtures/stats_digest.txt` are
+    /// keyed on this exact order.
+    #[test]
+    fn suite_order_is_table_iv_order() {
+        let names: Vec<&str> = suite(Scale::Test).iter().map(|w| w.name).collect();
+        assert_eq!(
+            names,
+            [
+                "VecAdd",
+                "SRAD",
+                "HS",
+                "ScalarProd",
+                "BLK",
+                "Histo-final",
+                "Reduction-k6",
+                "Hotspot3D",
+                "CONV",
+                "Histo-main",
+                "FWT-k2",
+                "SQ-GEMM",
+                "Alexnet-FC-2",
+                "VGGnet-FC-2",
+                "Resnet-50-FC",
+                "LSTM-1",
+                "LSTM-2",
+                "TRA",
+                "PageRank",
+                "BFS-relax",
+                "SSSP",
+                "Random-loc",
+                "Kmeans-noTex",
+                "SpMV-jds",
+                "B+tree",
+                "LBM",
+                "StreamCluster",
+            ]
+        );
+        let names: Vec<&str> = crate::attention(Scale::Test)
+            .iter()
+            .map(|w| w.name)
+            .collect();
+        assert_eq!(
+            names,
+            ["KVAppend", "AttnQK", "AttnSoftmax", "AttnPV", "AttnDecode"]
+        );
+    }
+
+    #[test]
+    fn table_names_match_constructors() {
+        for scale in [Scale::Test, Scale::Bench] {
+            for (name, f) in TABLE {
+                assert_eq!(f(scale).name, name, "{scale:?}");
+            }
+        }
+    }
+
+    /// `by_name` builds the same workload as the list entry of the same
+    /// name: geometry, argument sizes, trip counts and the first warp's
+    /// accesses of every kernel.
+    #[test]
+    fn by_name_matches_list_entries() {
+        let bytes = |l: &ladm_core::launch::LaunchInfo| -> Vec<u64> {
+            (0..l.kernel.args.len()).map(|i| l.arg_bytes(i)).collect()
+        };
+        for scale in [Scale::Test, Scale::Bench] {
+            for listed in suite(scale).into_iter().chain(crate::attention(scale)) {
+                let found = by_name(listed.name, scale).unwrap();
+                assert_eq!(found.name, listed.name);
+                assert_eq!(found.kernels.len(), listed.kernels.len(), "{}", listed.name);
+                for (a, b) in found.kernels.iter().zip(&listed.kernels) {
+                    let (la, lb) = (a.launch(), b.launch());
+                    assert_eq!(la.grid, lb.grid, "{}", listed.name);
+                    assert_eq!(la.block, lb.block, "{}", listed.name);
+                    assert_eq!(bytes(la), bytes(lb), "{}", listed.name);
+                    assert_eq!(a.trips(), b.trips(), "{}", listed.name);
+                    let (mut wa, mut wb) = (Vec::new(), Vec::new());
+                    a.warp_accesses((0, 0), 0, 0, &mut wa);
+                    b.warp_accesses((0, 0), 0, 0, &mut wb);
+                    assert!(!wa.is_empty(), "{}", listed.name);
+                    assert_eq!(wa, wb, "{}", listed.name);
+                }
+            }
+        }
     }
 
     #[test]
