@@ -2,7 +2,7 @@
 //! machine-readable `BENCH.json`.
 //!
 //! ```text
-//! ladm-bench [--quick] [--out FILE] [--samples N] [--scale test|bench] [--threads N] [--profile]
+//! ladm-bench [--quick] [--out FILE] [--samples N] [--scale test|bench] [--profile]
 //! ladm-bench --validate FILE
 //! ladm-bench --check BASELINE [--against FILE] [--tolerance PCT]
 //! ```
@@ -18,7 +18,7 @@
 //!
 //! `--profile` additionally runs each workload once under the
 //! [`ladm_obs::prof`] self-profiler and appends an additive `profiles`
-//! section (phase attribution, worker utilization, hot counters) to the
+//! section (phase attribution, hot counters) to the
 //! report. `--check` compares a freshly generated (or `--against` FILE)
 //! report to a checked-in baseline and exits non-zero when throughput
 //! drops by more than `--tolerance` percent or a phase's share of
@@ -27,7 +27,7 @@
 use ladm_bench::profile::{profile_workload, render_profile_text, section_from};
 use ladm_bench::report::{check, render, validate, BenchCell, BenchReport};
 use ladm_bench::trace::policy_by_name;
-use ladm_bench::{bench_function, run_workload_threaded};
+use ladm_bench::{bench_function, run_workload};
 use ladm_sim::SimConfig;
 use ladm_workloads::{by_name, Scale};
 
@@ -46,7 +46,6 @@ fn main() {
     let mut check_against: Option<String> = None;
     let mut tolerance = 10.0f64;
     let mut profile = false;
-    let mut threads = 1usize;
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -64,13 +63,6 @@ fn main() {
                     .and_then(|v| v.parse::<f64>().ok())
                     .filter(|t| *t >= 0.0)
                     .unwrap_or_else(|| usage("--tolerance needs a non-negative percentage"));
-            }
-            "--threads" => {
-                threads = it
-                    .next()
-                    .and_then(|v| v.parse::<usize>().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| usage("--threads needs a positive integer"));
             }
             "--scale" => {
                 scale = match it.next().as_deref() {
@@ -137,7 +129,7 @@ fn main() {
                 policy_by_name(policy_name).expect("cell policies come from policy_by_name");
             let mut stats = None;
             let wall = bench_function(&format!("{workload}/{policy_name}/{scale_name}"), || {
-                stats = Some(run_workload_threaded(&cfg, &w, &*policy, threads));
+                stats = Some(run_workload(&cfg, &w, &*policy));
             });
             samples = wall.samples;
             let stats = stats.expect("bench_function ran the closure at least once");
@@ -158,16 +150,15 @@ fn main() {
         for workload in WORKLOADS {
             let w = by_name(workload, scale).expect("cell names come from the Table IV suite");
             let policy = policy_by_name("ladm").expect("paper policy exists");
-            let run = profile_workload(&cfg, &w, &*policy, threads);
-            println!("{}", render_profile_text(workload, threads, &run));
-            profiles.push(section_from(workload, threads, &run));
+            let run = profile_workload(&cfg, &w, &*policy);
+            println!("{}", render_profile_text(workload, &run));
+            profiles.push(section_from(workload, &run));
         }
     }
 
     let report = BenchReport {
         git_rev: git_rev(),
         samples,
-        sim_threads: threads,
         cells,
         profiles,
     };
@@ -252,7 +243,7 @@ fn usage(msg: &str) -> ! {
         "ladm-bench: time the simulation engine and write BENCH.json\n\
          \n\
          usage:\n\
-           ladm-bench [--quick] [--out FILE] [--samples N] [--scale test|bench] [--threads N] [--profile]\n\
+           ladm-bench [--quick] [--out FILE] [--samples N] [--scale test|bench] [--profile]\n\
            ladm-bench --validate FILE\n\
            ladm-bench --check BASELINE [--against FILE] [--tolerance PCT]\n\
          \n\
@@ -262,8 +253,6 @@ fn usage(msg: &str) -> ! {
            --out FILE       output path (default: BENCH.json)\n\
            --samples N      timed samples per cell (default: 5,\n\
                             or the LADM_BENCH_SAMPLES environment variable)\n\
-           --threads N      engine worker threads per run (default: 1;\n\
-                            statistics are bit-identical for any N)\n\
            --profile        also self-profile one run per workload and\n\
                             append an additive 'profiles' report section\n\
            --validate FILE  check a previously emitted report and exit\n\

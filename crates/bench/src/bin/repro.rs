@@ -1,7 +1,7 @@
 //! `repro` — regenerates every table and figure of the LADM paper.
 //!
 //! ```text
-//! repro [--bench] [--threads N] [--sim-threads N] <experiment>
+//! repro [--bench] [--threads N] <experiment>
 //!   experiments: fig4 fig9 fig10 fig11 tab1 tab2 tab3 tab4 lint dgx1 decode
 //!                swizzle swizzle-smoke summary all
 //! repro --trace <workload>...
@@ -12,11 +12,10 @@
 //! uses the larger benchmark inputs (the numbers recorded in
 //! EXPERIMENTS.md).
 //!
-//! `--threads` controls the experiment fan-out (how many `(workload,
-//! policy)` cells run concurrently); `--sim-threads` controls the engine
-//! worker threads *inside* each simulation (equivalent to setting
-//! `LADM_SIM_THREADS`). Statistics are bit-identical for any
-//! `--sim-threads` value; only wall time changes.
+//! `--threads` controls the experiment fan-out: how many `(workload,
+//! policy)` cells run concurrently, each one serial simulation on its
+//! own machine. Output is identical for any `--threads` value; only
+//! wall time changes.
 //!
 //! With `--trace`, the positional arguments are Table IV workload names
 //! instead of experiments: each is run once under LADM with the
@@ -69,17 +68,8 @@ fn main() {
                 threads = it
                     .next()
                     .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--threads needs a number"));
-            }
-            "--sim-threads" => {
-                let n: usize = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
                     .filter(|&n: &usize| n >= 1)
-                    .unwrap_or_else(|| usage("--sim-threads needs a positive integer"));
-                // Experiments build their GpuSystems internally; the
-                // engine inherits its worker count from this variable.
-                std::env::set_var("LADM_SIM_THREADS", n.to_string());
+                    .unwrap_or_else(|| usage("--threads needs a positive integer"));
             }
             "-h" | "--help" => usage(""),
             other => what.push(other.to_string()),
@@ -155,13 +145,11 @@ fn usage(msg: &str) -> ! {
         eprintln!("error: {msg}");
     }
     eprintln!(
-        "usage: repro [--bench] [--threads N] [--sim-threads N] <fig4|fig9|fig10|fig11|tab1|tab2|tab3|tab4|lint|dgx1|decode|swizzle|swizzle-smoke|summary|all>\n\
+        "usage: repro [--bench] [--threads N] <fig4|fig9|fig10|fig11|tab1|tab2|tab3|tab4|lint|dgx1|decode|swizzle|swizzle-smoke|summary|all>\n\
          \u{20}      repro [--bench] --trace <workload>...\n\
          \u{20}      repro [--bench] --profile <workload>...\n\
          \n\
          --threads N      experiment cells run concurrently (default: CPU count)\n\
-         --sim-threads N  engine worker threads per simulation (default: 1;\n\
-                          statistics are bit-identical for any N)\n\
          --profile        self-profile the named workloads: phase table,\n\
                           profile-<name>.folded (flamegraph input) and a\n\
                           Chrome trace with a driver wall-time lane"
@@ -214,10 +202,6 @@ fn run_profiles(scale: Scale, names: &[String]) {
 
     let cfg = SimConfig::paper_multi_gpu();
     let policy = ladm_core::policies::Lasp::ladm();
-    let sim_threads = std::env::var("LADM_SIM_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(1);
     for name in names {
         prof::reset();
         prof::enable();
@@ -237,7 +221,7 @@ fn run_profiles(scale: Scale, names: &[String]) {
             wall_ns,
         };
 
-        print!("{}", render_profile_text(&traced.name, sim_threads, &run));
+        print!("{}", render_profile_text(&traced.name, &run));
 
         let stem = traced.name.to_lowercase();
         let folded = format!("profile-{stem}.folded");

@@ -5,36 +5,14 @@ use ladm_core::policies::Policy;
 use ladm_sim::{GpuSystem, KernelStats, SimConfig};
 use ladm_workloads::Workload;
 
-// The labeled fork-join pool lives in `ladm_core::par` so the simulator's
-// epoch-parallel driver can use the same machinery without depending on
-// this crate; re-exported here for compatibility with existing callers.
+// The labeled fork-join pool lives in `ladm_core::par`; re-exported here
+// for compatibility with existing callers.
 pub use ladm_core::par::{parallel_map, parallel_map_labeled};
 
 /// Runs every kernel of `workload` back to back on a fresh machine built
-/// from `cfg`, under `policy`. Returns the accumulated statistics. The
-/// engine thread count is inherited from `LADM_SIM_THREADS` (serial by
-/// default); see [`run_workload_threaded`] to pin it explicitly.
+/// from `cfg`, under `policy`. Returns the accumulated statistics.
 pub fn run_workload(cfg: &SimConfig, workload: &Workload, policy: &dyn Policy) -> KernelStats {
     let mut sys = GpuSystem::new(cfg.clone());
-    run_on(&mut sys, workload, policy)
-}
-
-/// As [`run_workload`], but pins the simulator's engine worker-thread
-/// count instead of inheriting `LADM_SIM_THREADS`. Statistics are
-/// bit-identical for any `threads`; only wall time changes.
-pub fn run_workload_threaded(
-    cfg: &SimConfig,
-    workload: &Workload,
-    policy: &dyn Policy,
-    threads: usize,
-) -> KernelStats {
-    let mut sys = GpuSystem::new(cfg.clone());
-    sys.set_threads(threads);
-    run_on(&mut sys, workload, policy)
-}
-
-/// Accumulates every kernel of `workload` on an already-built machine.
-fn run_on(sys: &mut GpuSystem, workload: &Workload, policy: &dyn Policy) -> KernelStats {
     let mut total = KernelStats::default();
     for kernel in &workload.kernels {
         let stats = sys.run(&**kernel, policy);

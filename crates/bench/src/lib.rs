@@ -14,7 +14,5 @@ pub mod profile;
 pub mod report;
 pub mod trace;
 
-pub use harness::{
-    bench_function, geomean, parallel_map, run_workload, run_workload_threaded, BenchSummary,
-};
+pub use harness::{bench_function, geomean, parallel_map, run_workload, BenchSummary};
 pub use trace::{policy_by_name, trace_by_name, trace_workload, TracedRun};

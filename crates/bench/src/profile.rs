@@ -4,14 +4,13 @@
 //!
 //! The profiler observes the *simulator's* wall time (where the driver
 //! spends its cycles), not simulated time — see `ladm_obs::prof`. A
-//! profiled run wraps [`crate::harness::run_workload_threaded`] between
+//! profiled run wraps [`crate::harness::run_workload`] between
 //! `prof::reset`/`enable` and `disable`/`take`, so everything the
-//! engine records (plan, setup, gen fan-out, barrier wait, serial
-//! drain, stats merge, plus worker-side busy counters) lands in one
-//! deterministic-shape [`Profile`].
+//! engine records (plan, setup, drain, generation, stats merge, plus
+//! the hot counters) lands in one deterministic-shape [`Profile`].
 
-use crate::harness::run_workload_threaded;
-use crate::report::{PhaseRow, ProfileSection, UtilizationSection};
+use crate::harness::run_workload;
+use crate::report::{PhaseRow, ProfileSection};
 use ladm_core::policies::Policy;
 use ladm_obs::prof::{self, Profile};
 use ladm_sim::{KernelStats, SimConfig};
@@ -33,22 +32,17 @@ pub struct ProfiledRun {
     pub wall_ns: u64,
 }
 
-/// Runs `workload` under `policy` at `threads` engine workers with the
-/// self-profiler enabled, and returns the captured profile.
+/// Runs `workload` under `policy` with the self-profiler enabled, and
+/// returns the captured profile.
 ///
 /// Profiler state is process-global: concurrent profiled runs would
 /// merge into each other, so callers (the bench binaries, tests)
 /// profile one run at a time.
-pub fn profile_workload(
-    cfg: &SimConfig,
-    workload: &Workload,
-    policy: &dyn Policy,
-    threads: usize,
-) -> ProfiledRun {
+pub fn profile_workload(cfg: &SimConfig, workload: &Workload, policy: &dyn Policy) -> ProfiledRun {
     prof::reset();
     prof::enable();
     let t0 = Instant::now();
-    let stats = run_workload_threaded(cfg, workload, policy, threads);
+    let stats = run_workload(cfg, workload, policy);
     let wall_ns = t0.elapsed().as_nanos() as u64;
     prof::disable();
     let profile = prof::take();
@@ -60,20 +54,9 @@ pub fn profile_workload(
 }
 
 /// Folds a profiled run into the additive BENCH.json `profile` section.
-///
-/// `attributed_ns` counts only the coordinator-thread roots (the
-/// `kernel` spans) — worker-side `gen_worker` roots measure *parallel*
-/// busy time that overlaps the coordinator's `gen_fanout` wait and
-/// would double-count wall time; they feed the utilization block
-/// instead.
-pub fn section_from(workload: &str, threads: usize, run: &ProfiledRun) -> ProfileSection {
-    let attributed_ns: u64 = run
-        .profile
-        .roots
-        .iter()
-        .filter(|r| r.name != "gen_worker")
-        .map(|r| r.total_ns)
-        .sum();
+/// `attributed_ns` is the wall time the root spans account for.
+pub fn section_from(workload: &str, run: &ProfiledRun) -> ProfileSection {
+    let attributed_ns = run.profile.total_ns();
     let phases: Vec<PhaseRow> = run
         .profile
         .flatten()
@@ -93,106 +76,26 @@ pub fn section_from(workload: &str, threads: usize, run: &ProfiledRun) -> Profil
         .collect();
     ProfileSection {
         workload: workload.to_string(),
-        sim_threads: threads,
         wall_ns: run.wall_ns,
         attributed_ns,
         phases,
-        utilization: utilization_from(&run.profile, threads),
         counters,
     }
 }
 
-/// Computes the worker-pool utilization block across both parallel
-/// phases: gen busy = Σ per-shard `shardNN.gen_ns` counters, drain busy
-/// = Σ per-shard `shardNN.drain_ns` counters (worker-side clocks), and
-/// capacity = effective workers × (the coordinator's `gen_fanout`
-/// wall plus the `drain_par` wall). The difference is barrier idle —
-/// workers that finished their shard early and waited for the phase
-/// barrier.
-pub fn utilization_from(profile: &Profile, threads: usize) -> UtilizationSection {
-    let per_shard = |suffix: &str, pair_suffix: &str| {
-        let mut shards: Vec<(usize, u64, u64)> = Vec::new();
-        for (name, &ns) in &profile.counters {
-            if let Some(idx) = name
-                .strip_prefix("shard")
-                .and_then(|s| s.strip_suffix(suffix))
-                .and_then(|s| s.parse::<usize>().ok())
-            {
-                let paired = profile
-                    .counters
-                    .get(&format!("shard{idx:02}{pair_suffix}"))
-                    .copied()
-                    .unwrap_or(0);
-                shards.push((idx, ns, paired));
-            }
-        }
-        shards.sort_unstable();
-        shards
-    };
-    let shards = per_shard(".gen_ns", ".gen_tasks");
-    let drain_shards = per_shard(".drain_ns", ".drain_events");
-    let busy_ns: u64 = shards.iter().map(|&(_, ns, _)| ns).sum();
-    let drain_busy_ns: u64 = drain_shards.iter().map(|&(_, ns, _)| ns).sum();
-    let fanout_ns = profile
-        .find("kernel;execute;gen_fanout")
-        .map(|n| n.total_ns)
-        .unwrap_or(0);
-    let drain_par_ns = profile
-        .find("kernel;execute;drain;drain_par")
-        .map(|n| n.total_ns)
-        .unwrap_or(0);
-    let workers = threads.min(shards.len().max(drain_shards.len()).max(1));
-    UtilizationSection {
-        workers,
-        busy_ns,
-        drain_busy_ns,
-        capacity_ns: (fanout_ns + drain_par_ns) * workers as u64,
-        shards,
-        drain_shards,
-    }
-}
-
-/// Renders the human-facing profile report: coverage line, the phase
-/// attribution table, and the utilization block.
-pub fn render_profile_text(workload: &str, threads: usize, run: &ProfiledRun) -> String {
-    let section = section_from(workload, threads, run);
+/// Renders the human-facing profile report: coverage line and the phase
+/// attribution table.
+pub fn render_profile_text(workload: &str, run: &ProfiledRun) -> String {
+    let section = section_from(workload, run);
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "profile: {workload} (threads {threads}, wall {:.3} ms, coverage {:.1}%)",
+        "profile: {workload} (wall {:.3} ms, coverage {:.1}%)",
         run.wall_ns as f64 / 1e6,
         section.coverage() * 100.0
     );
     let _ = writeln!(out);
     out.push_str(&run.profile.render_table());
-    let u = &section.utilization;
-    if u.capacity_ns > 0 {
-        let _ = writeln!(out);
-        let _ = writeln!(
-            out,
-            "worker pool: {} workers, busy {:.1}% of parallel-phase capacity \
-             (gen {:.3} ms + drain {:.3} ms / capacity {:.3} ms; the rest is barrier idle)",
-            u.workers,
-            u.busy_frac() * 100.0,
-            u.busy_ns as f64 / 1e6,
-            u.drain_busy_ns as f64 / 1e6,
-            u.capacity_ns as f64 / 1e6
-        );
-        for &(shard, ns, tasks) in &u.shards {
-            let drain = u
-                .drain_shards
-                .iter()
-                .find(|&&(s, _, _)| s == shard)
-                .copied();
-            let _ = writeln!(
-                out,
-                "  shard {shard:>2}: gen {:>10.3} ms  {tasks:>8} tasks   drain {:>10.3} ms  {:>8} events",
-                ns as f64 / 1e6,
-                drain.map_or(0.0, |(_, d, _)| d as f64 / 1e6),
-                drain.map_or(0, |(_, _, e)| e)
-            );
-        }
-    }
     out
 }
 
@@ -216,10 +119,10 @@ mod tests {
         let _t = locked();
         let w = by_name("VecAdd", Scale::Test).expect("vecadd exists");
         let cfg = SimConfig::paper_multi_gpu();
-        let run = profile_workload(&cfg, &w, &Lasp::ladm(), 1);
+        let run = profile_workload(&cfg, &w, &Lasp::ladm());
         assert!(run.stats.cycles > 0.0);
         assert!(!run.profile.is_empty());
-        let section = section_from("VecAdd", 1, &run);
+        let section = section_from("VecAdd", &run);
         // Acceptance criterion: the phase table accounts for >= 95% of
         // measured wall time (the uncovered slice is GpuSystem::new +
         // harness glue).
@@ -247,68 +150,12 @@ mod tests {
     }
 
     #[test]
-    fn threaded_profile_reports_fanout_and_utilization() {
-        let _t = locked();
-        let w = by_name("VecAdd", Scale::Test).expect("vecadd exists");
-        let cfg = SimConfig::paper_multi_gpu();
-        let run = profile_workload(&cfg, &w, &Lasp::ladm(), 2);
-        let fanout = run
-            .profile
-            .find("kernel;execute;gen_fanout")
-            .expect("threaded run has a fan-out phase");
-        assert!(fanout.count > 0);
-        assert!(run.profile.find("kernel;execute;drain").is_some());
-        let util = utilization_from(&run.profile, 2);
-        assert!(util.workers >= 1);
-        assert!(util.busy_ns > 0, "worker busy clocks recorded");
-        assert!(util.capacity_ns >= util.busy_ns / 2, "capacity plausible");
-        let text = render_profile_text("VecAdd", 2, &run);
-        assert!(text.contains("worker pool:"), "{text}");
-        assert!(text.contains("gen_fanout"), "{text}");
-    }
-
-    #[test]
-    fn parallel_drain_shows_up_in_utilization() {
-        let _t = locked();
-        // VecAdd's streaming accesses are almost entirely shard-local,
-        // so its windows clear the parallel-drain threshold (SQ-GEMM's
-        // do not at test scale: remote sectors early in each window cut
-        // the local-only prefix short); the profile must carry the
-        // drain_par span and worker-side drain busy clocks.
-        let w = by_name("VecAdd", Scale::Test).expect("vecadd exists");
-        let cfg = SimConfig::paper_multi_gpu();
-        let run = profile_workload(&cfg, &w, &Lasp::ladm(), 4);
-        assert!(
-            run.profile.find("kernel;execute;drain;drain_par").is_some(),
-            "parallel drain engaged:\n{}",
-            run.profile.render_table()
-        );
-        let util = utilization_from(&run.profile, 4);
-        assert!(util.drain_busy_ns > 0, "drain busy clocks recorded");
-        assert!(!util.drain_shards.is_empty());
-        assert!(
-            util.drain_shards.iter().any(|&(_, _, events)| events > 0),
-            "drained events attributed to shards"
-        );
-        let section = section_from("VecAdd", 4, &run);
-        let parallel = section
-            .counters
-            .iter()
-            .find(|(k, _)| k == "drain.parallel_events")
-            .map(|&(_, v)| v)
-            .unwrap_or(0);
-        assert!(parallel > 0, "windows executed in parallel");
-        let text = render_profile_text("VecAdd", 4, &run);
-        assert!(text.contains("drain"), "{text}");
-    }
-
-    #[test]
     fn profiling_does_not_change_simulated_stats() {
         let _t = locked();
         let w = by_name("VecAdd", Scale::Test).expect("vecadd exists");
         let cfg = SimConfig::paper_multi_gpu();
-        let plain = crate::harness::run_workload_threaded(&cfg, &w, &Lasp::ladm(), 2);
-        let profiled = profile_workload(&cfg, &w, &Lasp::ladm(), 2);
+        let plain = run_workload(&cfg, &w, &Lasp::ladm());
+        let profiled = profile_workload(&cfg, &w, &Lasp::ladm());
         assert_eq!(
             format!("{plain:?}"),
             format!("{:?}", profiled.stats),

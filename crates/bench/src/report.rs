@@ -76,59 +76,20 @@ pub struct PhaseRow {
     pub calls: u64,
 }
 
-/// Per-shard worker-utilization summary for the threaded drivers
-/// (epoch-prefetch generation plus the conservative-lookahead parallel
-/// drain).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct UtilizationSection {
-    /// Worker threads that actually ran generation jobs.
-    pub workers: usize,
-    /// Σ per-shard generation busy nanoseconds (worker-side clocks).
-    pub busy_ns: u64,
-    /// Σ per-shard parallel-drain busy nanoseconds (`shardNN.drain_ns`).
-    pub drain_busy_ns: u64,
-    /// `workers × (gen_fanout wall + drain_par wall)` — what the pool
-    /// could have done across both parallel phases.
-    pub capacity_ns: u64,
-    /// Per-shard `(shard index, gen busy ns, gen tasks)` rows.
-    pub shards: Vec<(usize, u64, u64)>,
-    /// Per-shard `(shard index, drain busy ns, drained events)` rows
-    /// (empty when no round cleared the parallel-drain threshold).
-    pub drain_shards: Vec<(usize, u64, u64)>,
-}
-
-impl UtilizationSection {
-    /// Busy fraction of the worker pool (1 − barrier idle), in [0, 1],
-    /// across both parallel phases.
-    pub fn busy_frac(&self) -> f64 {
-        if self.capacity_ns == 0 {
-            0.0
-        } else {
-            ((self.busy_ns + self.drain_busy_ns) as f64 / self.capacity_ns as f64).min(1.0)
-        }
-    }
-}
-
 /// The additive `profile` section of a `ladm-bench-v1` report: one
-/// profiled workload's phase attribution, shard utilization and
-/// profiler counters. Absent (and ignored by old readers) unless
+/// profiled workload's phase attribution and profiler counters. Absent (and ignored by old readers) unless
 /// `--profile` ran.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ProfileSection {
     /// Workload the profile was captured on.
     pub workload: String,
-    /// Engine worker threads during the profiled run.
-    pub sim_threads: usize,
     /// Measured wall nanoseconds of the whole profiled run.
     pub wall_ns: u64,
     /// Nanoseconds attributed by the root spans of the phase table.
     pub attributed_ns: u64,
     /// Phase rows, path-sorted (from `Profile::flatten`).
     pub phases: Vec<PhaseRow>,
-    /// Worker-pool utilization (zeroed for serial runs).
-    pub utilization: UtilizationSection,
-    /// Merged profiler counters (heap ops, cache probes, bucket stalls,
-    /// per-shard gen times).
+    /// Merged profiler counters (heap ops, cache probes, bucket stalls).
     pub counters: Vec<(String, u64)>,
 }
 
@@ -150,11 +111,6 @@ pub struct BenchReport {
     pub git_rev: String,
     /// Timed samples per cell (`LADM_BENCH_SAMPLES`).
     pub samples: usize,
-    /// Engine worker threads the cells ran with (`--threads` /
-    /// `LADM_SIM_THREADS`); statistics are bit-identical for any value,
-    /// only wall times change. Additive `ladm-bench-v1` field — absent
-    /// in pre-threading reports, which validate as single-threaded.
-    pub sim_threads: usize,
     /// Timed cells, in run order.
     pub cells: Vec<BenchCell>,
     /// Self-profile sections (one per profiled workload), present only
@@ -173,10 +129,6 @@ pub fn render(report: &BenchReport) -> String {
         escape(&report.git_rev)
     ));
     out.push_str(&format!("  \"samples\": {},\n", report.samples));
-    out.push_str(&format!(
-        "  \"sim_threads\": {},\n",
-        report.sim_threads.max(1)
-    ));
     out.push_str("  \"cells\": [\n");
     for (i, cell) in report.cells.iter().enumerate() {
         out.push_str("    {");
@@ -209,7 +161,6 @@ pub fn render(report: &BenchReport) -> String {
             "      \"workload\": \"{}\",\n",
             escape(&p.workload)
         ));
-        out.push_str(&format!("      \"sim_threads\": {},\n", p.sim_threads));
         out.push_str(&format!("      \"wall_ns\": {},\n", p.wall_ns));
         out.push_str(&format!("      \"attributed_ns\": {},\n", p.attributed_ns));
         out.push_str(&format!("      \"coverage\": {},\n", number(p.coverage())));
@@ -225,33 +176,6 @@ pub fn render(report: &BenchReport) -> String {
             ));
         }
         out.push_str("      ],\n");
-        let u = &p.utilization;
-        out.push_str(&format!(
-            "      \"utilization\": {{\"workers\": {}, \"busy_ns\": {}, \"drain_busy_ns\": {}, \"capacity_ns\": {}, \"busy_frac\": {}, \"shards\": [",
-            u.workers,
-            u.busy_ns,
-            u.drain_busy_ns,
-            u.capacity_ns,
-            number(u.busy_frac())
-        ));
-        for (j, (shard, ns, tasks)) in u.shards.iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!(
-                "{{\"shard\": {shard}, \"gen_ns\": {ns}, \"tasks\": {tasks}}}"
-            ));
-        }
-        out.push_str("], \"drain_shards\": [");
-        for (j, (shard, ns, events)) in u.drain_shards.iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!(
-                "{{\"shard\": {shard}, \"drain_ns\": {ns}, \"events\": {events}}}"
-            ));
-        }
-        out.push_str("]},\n");
         out.push_str("      \"counters\": {");
         for (j, (name, v)) in p.counters.iter().enumerate() {
             if j > 0 {
@@ -297,14 +221,6 @@ pub fn validate(text: &str) -> Result<usize, String> {
         .ok_or("missing 'samples'")?;
     if samples < 1.0 {
         return Err(format!("samples {samples} < 1"));
-    }
-    // Additive field: reports written before the threaded engine have
-    // no 'sim_threads' and are treated as single-threaded runs.
-    if let Some(v) = doc.get("sim_threads") {
-        let threads = v.as_f64().ok_or("'sim_threads' must be a number")?;
-        if threads < 1.0 {
-            return Err(format!("sim_threads {threads} < 1"));
-        }
     }
     let cells = doc
         .get("cells")
@@ -373,14 +289,6 @@ pub fn validate(text: &str) -> Result<usize, String> {
                     }
                 }
             }
-            let util = p
-                .get("utilization")
-                .ok_or_else(|| format!("profile {i}: missing 'utilization'"))?;
-            for key in ["workers", "busy_ns", "capacity_ns", "busy_frac"] {
-                util.get(key)
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| format!("profile {i}: utilization missing '{key}'"))?;
-            }
         }
     }
     Ok(cells.len())
@@ -414,14 +322,10 @@ impl CheckReport {
 /// regresses when its share of total time grows more than
 /// `tolerance_pct` percentage points.
 ///
-/// Two structural gates apply to the *current* report alone (so
-/// `check(report, report, _)` enforces them without any baseline
+/// One structural gate applies to the *current* report alone (so
+/// `check(report, report, _)` enforces it without any baseline
 /// sensitivity): every profile section must attribute at least 95% of
-/// measured wall time, and a report whose profiles ran threaded
-/// (`sim_threads > 1`) must show the conservative parallel drain
-/// engaging (`drain_par` span) in at least one profile — a routing
-/// regression that silently falls back to the serial drain would
-/// otherwise only surface as unexplained wall-time noise.
+/// measured wall time.
 ///
 /// # Errors
 ///
@@ -520,17 +424,13 @@ pub fn check(current: &str, baseline: &str, tolerance_pct: f64) -> Result<CheckR
         }
     }
 
-    // Structural gates on the current report (baseline-independent).
+    // Structural gate on the current report (baseline-independent).
     if let Some(profiles) = cur.get("profiles").and_then(Json::as_array) {
-        let mut any_threaded = false;
-        let mut any_drain_par = false;
         for p in profiles {
             let workload = p
                 .get("workload")
                 .and_then(Json::as_str)
                 .unwrap_or("<unnamed>");
-            let threads = p.get("sim_threads").and_then(Json::as_f64).unwrap_or(1.0);
-            any_threaded |= threads > 1.0;
             let coverage = p.get("coverage").and_then(Json::as_f64).unwrap_or(0.0);
             out.compared += 1;
             if coverage < 0.95 {
@@ -538,23 +438,6 @@ pub fn check(current: &str, baseline: &str, tolerance_pct: f64) -> Result<CheckR
                     "profile {workload}: phase table covers only {:.1}% of wall time (floor 95%)",
                     coverage * 100.0
                 ));
-            }
-            if let Some(phases) = p.get("phases").and_then(Json::as_array) {
-                any_drain_par |= phases.iter().any(|row| {
-                    row.get("path")
-                        .and_then(Json::as_str)
-                        .is_some_and(|path| path.ends_with("drain_par"))
-                });
-            }
-        }
-        if any_threaded {
-            out.compared += 1;
-            if !any_drain_par {
-                out.regressions.push(
-                    "threaded profiles never recorded a 'drain_par' span: the conservative \
-                     parallel drain is not engaging (routing or threshold regression)"
-                        .to_string(),
-                );
             }
         }
     }
@@ -575,7 +458,6 @@ mod tests {
         BenchReport {
             git_rev: "abc1234".to_string(),
             samples: 5,
-            sim_threads: 4,
             cells: vec![
                 BenchCell::new(
                     "VecAdd",
@@ -607,7 +489,6 @@ mod tests {
     fn sample_profile() -> ProfileSection {
         ProfileSection {
             workload: "VecAdd".to_string(),
-            sim_threads: 4,
             wall_ns: 1_000_000,
             attributed_ns: 970_000,
             phases: vec![
@@ -624,20 +505,12 @@ mod tests {
                     calls: 1,
                 },
                 PhaseRow {
-                    path: "kernel;execute;drain;drain_par".to_string(),
+                    path: "kernel;execute;drain_serial".to_string(),
                     total_ns: 500_000,
                     self_ns: 500_000,
                     calls: 3,
                 },
             ],
-            utilization: UtilizationSection {
-                workers: 4,
-                busy_ns: 300_000,
-                drain_busy_ns: 60_000,
-                capacity_ns: 400_000,
-                shards: vec![(0, 150_000, 64), (1, 150_000, 64)],
-                drain_shards: vec![(0, 40_000, 512), (1, 20_000, 256)],
-            },
             counters: vec![("bw.claims".to_string(), 123)],
         }
     }
@@ -648,7 +521,6 @@ mod tests {
         assert_eq!(validate(&text), Ok(2));
         let doc = Json::parse(&text).expect("render emits parsable JSON");
         assert_eq!(doc.get("schema").and_then(Json::as_str), Some(SCHEMA));
-        assert_eq!(doc.get("sim_threads").and_then(Json::as_f64), Some(4.0));
         let cells = doc.get("cells").and_then(Json::as_array).unwrap();
         assert_eq!(
             cells[0].get("workload").and_then(Json::as_str),
@@ -685,22 +557,6 @@ mod tests {
     }
 
     #[test]
-    fn sim_threads_is_additive_and_bounded() {
-        // Pre-threading reports (no field) still validate.
-        let legacy =
-            format!(r#"{{"schema": "{SCHEMA}", "git_rev": "x", "samples": 1, "cells": []}}"#);
-        assert_eq!(validate(&legacy), Ok(0));
-        let bad = format!(
-            r#"{{"schema": "{SCHEMA}", "git_rev": "x", "samples": 1, "sim_threads": 0, "cells": []}}"#
-        );
-        assert!(validate(&bad).unwrap_err().contains("sim_threads"));
-        let good = format!(
-            r#"{{"schema": "{SCHEMA}", "git_rev": "x", "samples": 1, "sim_threads": 8, "cells": []}}"#
-        );
-        assert_eq!(validate(&good), Ok(0));
-    }
-
-    #[test]
     fn profile_section_roundtrips_and_validates() {
         let mut report = sample_report();
         report.profiles.push(sample_profile());
@@ -722,20 +578,6 @@ mod tests {
             phases[1].get("path").and_then(Json::as_str),
             Some("kernel;execute")
         );
-        let util = p.get("utilization").unwrap();
-        // (gen 300k + drain 60k) / capacity 400k.
-        let frac = util.get("busy_frac").and_then(Json::as_f64).unwrap();
-        assert!((frac - 0.9).abs() < 1e-9);
-        assert_eq!(
-            util.get("drain_busy_ns").and_then(Json::as_f64),
-            Some(60_000.0)
-        );
-        let drain_shards = util.get("drain_shards").and_then(Json::as_array).unwrap();
-        assert_eq!(drain_shards.len(), 2);
-        assert_eq!(
-            drain_shards[0].get("events").and_then(Json::as_f64),
-            Some(512.0)
-        );
         assert_eq!(
             p.get("counters")
                 .and_then(|c| c.get("bw.claims"))
@@ -756,8 +598,6 @@ mod tests {
         assert!(validate(&bad_cov).unwrap_err().contains("coverage"));
         let bad_phase = text.replacen("\"total_ns\": 960000", "\"total_ns\": \"x\"", 1);
         assert!(validate(&bad_phase).unwrap_err().contains("total_ns"));
-        let no_util = text.replacen("\"utilization\"", "\"utilisation\"", 1);
-        assert!(validate(&no_util).unwrap_err().contains("utilization"));
     }
 
     #[test]
@@ -822,17 +662,6 @@ mod tests {
         // Self-comparison isolates the baseline-independent gates.
         assert!(check(&good, &good, 10.0).unwrap().passed());
 
-        // Threaded profiles that never record a drain_par span mean the
-        // parallel drain silently stopped engaging.
-        let no_drain = good.replace("drain_par", "drain_xxx");
-        let flagged = check(&no_drain, &no_drain, 10.0).unwrap();
-        assert!(!flagged.passed());
-        assert!(
-            flagged.regressions.iter().any(|r| r.contains("drain_par")),
-            "{:?}",
-            flagged.regressions
-        );
-
         // A phase table covering less than 95% of wall time fails.
         let low_cov = good.replacen("\"coverage\": 0.97", "\"coverage\": 0.8", 1);
         let flagged = check(&low_cov, &low_cov, 10.0).unwrap();
@@ -845,11 +674,6 @@ mod tests {
             "{:?}",
             flagged.regressions
         );
-
-        // Serial-profile reports are exempt from the drain gate (there
-        // is nothing to engage), but not from the coverage gate.
-        let serial = no_drain.replace("\"sim_threads\": 4", "\"sim_threads\": 1");
-        assert!(check(&serial, &serial, 10.0).unwrap().passed());
     }
 
     #[test]
@@ -905,6 +729,16 @@ mod tests {
             "\"future_cell_field\": true, \"workload\":",
         );
         assert_eq!(validate(&with_cell), Ok(2));
+        // Profile sections tolerate them too: older reports carry a
+        // per-profile worker `utilization` block that is no longer read.
+        let mut report = sample_report();
+        report.profiles.push(sample_profile());
+        let legacy = render(&report).replacen(
+            "\"wall_ns\":",
+            "\"utilization\": {\"workers\": 4}, \"wall_ns\":",
+            1,
+        );
+        assert_eq!(validate(&legacy), Ok(2));
     }
 
     #[test]

@@ -2,17 +2,16 @@
 //! [`parallel_map_labeled`] fan a job range out over scoped OS threads
 //! with deterministic result order and labeled panic propagation.
 //!
-//! Shared by the bench harness (per-workload experiment fan-out) and the
-//! simulator's epoch-parallel engine driver — both need the same
-//! guarantees: results come back in index order regardless of which
+//! This is the repository's only parallelism: independent jobs — one
+//! (workload, policy) experiment cell, each on its own simulated
+//! machine — run concurrently, while each simulation stays one serial
+//! event loop. Results come back in index order regardless of which
 //! worker ran which job, and a panic inside any job is re-raised on the
 //! caller with the job's label attached instead of aborting the process
 //! from a worker thread. The crate stays dependency-free (std scoped
 //! threads only).
 
-use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
 
 /// Maps `f` over `0..n` on `threads` OS threads, preserving order.
 /// `f` must be cheap to call concurrently (each job builds its own
@@ -93,290 +92,6 @@ where
     results
 }
 
-/// Type-erased handle to the current phase's job closure: a thin
-/// pointer to the closure on the [`PhasedPool::run`] caller's stack
-/// plus a monomorphized call shim. `run` does not return until every
-/// worker has checked in for the phase, so workers never dereference
-/// the data pointer after it dies.
-#[derive(Clone, Copy)]
-struct Job {
-    data: *const (),
-    call: unsafe fn(*const (), usize),
-}
-
-// SAFETY: the pointee is `Sync` (shared-call safe) and outlives every
-// use — see the phase protocol in `worker_loop`/`run`.
-unsafe impl Send for Job {}
-
-/// Recovers the concrete closure type behind a [`Job`] data pointer.
-unsafe fn call_shim<F: Fn(usize) + Sync>(data: *const (), i: usize) {
-    unsafe { (*data.cast::<F>())(i) }
-}
-
-/// Shared coordination state between the pool coordinator and its
-/// workers. Phases are announced under the `phase` mutex (with a
-/// condvar so idle workers sleep instead of burning a core between
-/// fan-outs); job claiming and completion use lock-free counters.
-struct PoolShared {
-    /// Monotonic phase number; bumped once per [`PhasedPool::run`] and
-    /// once at shutdown.
-    phase: Mutex<u64>,
-    phase_cv: Condvar,
-    /// The phase's job, or `None` to shut down.
-    job: Mutex<Option<Job>>,
-    /// Number of jobs in the phase.
-    n: AtomicUsize,
-    /// Next unclaimed job index.
-    next: AtomicUsize,
-    /// Workers that finished claiming for the current phase.
-    done: AtomicUsize,
-    /// Labels + messages of jobs that panicked this phase.
-    failures: Mutex<Vec<String>>,
-    /// Spawned worker count (the coordinator also claims jobs).
-    workers: usize,
-}
-
-/// A persistent phase-gated worker pool: spawn the OS threads once,
-/// then run many small fan-outs over them without per-call spawn/join
-/// cost. Built for drivers that alternate short parallel phases with
-/// serial coordination (the simulator's horizon-round drain runs two
-/// fan-outs per round, thousands of rounds per kernel — per-round
-/// thread spawning would dominate).
-///
-/// The coordinator participates in every phase (it claims jobs like a
-/// worker), so a pool built with `threads == n` applies `n`-way
-/// parallelism with `n - 1` spawned threads, and degenerates to plain
-/// inline execution at `threads == 1`.
-pub struct PhasedPool<'a> {
-    shared: &'a PoolShared,
-}
-
-impl std::fmt::Debug for PhasedPool<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PhasedPool")
-            .field("workers", &self.shared.workers)
-            .finish()
-    }
-}
-
-impl PhasedPool<'_> {
-    /// Runs `f(0..n)` across the pool, blocking until every index has
-    /// executed and every worker has checked in. Job indices are
-    /// claimed dynamically; `f` must tolerate any assignment of index
-    /// to thread (determinism comes from writing to per-index outputs —
-    /// see [`PhasedPool::map`]).
-    ///
-    /// # Panics
-    ///
-    /// Re-raises job panics on the caller (after the phase completes,
-    /// so no worker is left dereferencing the dead closure). Must not
-    /// be called from inside a job (phases do not nest).
-    pub fn run<F>(&self, n: usize, f: &F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        self.dispatch(n, f, true);
-    }
-
-    /// As [`PhasedPool::run`], but the coordinator never claims a job:
-    /// every index executes on a spawned worker thread (inline fallback
-    /// when the pool spawned none). For phases whose jobs record
-    /// profiler spans: span trees merge per thread, so a coordinator-
-    /// claimed job would nest its span under the caller's open span —
-    /// making the merged tree's shape depend on claim-race timing
-    /// instead of on the code path.
-    pub fn run_on_workers<F>(&self, n: usize, f: &F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        self.dispatch(n, f, false);
-    }
-
-    fn dispatch<F>(&self, n: usize, f: &F, coordinator_claims: bool)
-    where
-        F: Fn(usize) + Sync,
-    {
-        let s = self.shared;
-        if n == 0 {
-            return;
-        }
-        s.n.store(n, Ordering::Relaxed);
-        s.next.store(0, Ordering::Relaxed);
-        s.done.store(0, Ordering::Relaxed);
-        let job = Job {
-            data: (f as *const F).cast::<()>(),
-            call: call_shim::<F>,
-        };
-        if s.workers > 0 {
-            // Publish the job, then announce the phase. The mutexes
-            // order the publication before any worker's read.
-            *s.job.lock().unwrap() = Some(job);
-            let mut p = s.phase.lock().unwrap();
-            *p += 1;
-            drop(p);
-            s.phase_cv.notify_all();
-        }
-        // The coordinator claims jobs too — it would otherwise idle for
-        // the whole phase (and on a single-core host it is usually the
-        // only thread making progress) — unless the phase is pinned to
-        // the spawned workers.
-        if coordinator_claims || s.workers == 0 {
-            claim_jobs(s, job);
-        }
-        if s.workers > 0 {
-            // Wait for every worker to check in; only then is the job
-            // pointer dead and the phase's writes visible (Acquire
-            // pairs with the workers' Release increments).
-            while s.done.load(Ordering::Acquire) < s.workers {
-                std::thread::yield_now();
-            }
-        }
-        let failures = std::mem::take(&mut *s.failures.lock().unwrap());
-        if !failures.is_empty() {
-            panic!(
-                "phased pool: {} job(s) panicked:\n  {}",
-                failures.len(),
-                failures.join("\n  ")
-            );
-        }
-    }
-
-    /// As [`PhasedPool::run`], but collects each job's return value in
-    /// index order.
-    pub fn map<T, F>(&self, n: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        self.map_impl(n, f, true)
-    }
-
-    /// As [`PhasedPool::map`], but via [`PhasedPool::run_on_workers`]:
-    /// jobs execute only on spawned worker threads.
-    pub fn map_on_workers<T, F>(&self, n: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        self.map_impl(n, f, false)
-    }
-
-    fn map_impl<T, F>(&self, n: usize, f: F, coordinator_claims: bool) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        /// Per-index output slots. Each index is claimed by exactly one
-        /// thread (`next.fetch_add`), so the unsynchronized writes are
-        /// disjoint.
-        struct Slots<'a, T>(&'a [UnsafeCell<Option<T>>]);
-        unsafe impl<T: Send> Sync for Slots<'_, T> {}
-        impl<T> Slots<'_, T> {
-            /// # Safety
-            /// Each index must be written by at most one thread.
-            unsafe fn set(&self, i: usize, v: T) {
-                unsafe { *self.0[i].get() = Some(v) }
-            }
-        }
-        let slots: Vec<UnsafeCell<Option<T>>> = (0..n).map(|_| UnsafeCell::new(None)).collect();
-        let out = Slots(&slots);
-        let job = |i: usize| {
-            // SAFETY: index `i` is claimed exactly once across the pool.
-            unsafe { out.set(i, f(i)) };
-        };
-        if coordinator_claims {
-            self.run(n, &job);
-        } else {
-            self.run_on_workers(n, &job);
-        }
-        slots
-            .into_iter()
-            .map(|c| c.into_inner().expect("every job index was executed"))
-            .collect()
-    }
-}
-
-/// Claim-and-run loop shared by workers and the coordinator.
-fn claim_jobs(s: &PoolShared, job: Job) {
-    let n = s.n.load(Ordering::Relaxed);
-    loop {
-        let i = s.next.fetch_add(1, Ordering::Relaxed);
-        if i >= n {
-            break;
-        }
-        // SAFETY: `run` keeps the closure alive until every claimant
-        // has checked in for the phase.
-        let call = || unsafe { (job.call)(job.data, i) };
-        if let Err(payload) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(call)) {
-            let msg = panic_message(&*payload);
-            s.failures
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .push(format!("job {i} panicked: {msg}"));
-        }
-    }
-}
-
-fn worker_loop(s: &PoolShared) {
-    let mut seen = 0u64;
-    loop {
-        {
-            let mut p = s.phase.lock().unwrap();
-            while *p == seen {
-                p = s.phase_cv.wait(p).unwrap();
-            }
-            seen = *p;
-        }
-        let job = *s.job.lock().unwrap();
-        let Some(job) = job else { return };
-        claim_jobs(s, job);
-        s.done.fetch_add(1, Ordering::Release);
-    }
-}
-
-/// Builds a [`PhasedPool`] of `threads`-way parallelism (spawning
-/// `threads - 1` OS threads), runs `body` with it, then shuts the
-/// workers down. All fan-outs issued through the handle share the same
-/// threads — the amortization that makes fine-grained phase loops
-/// viable.
-pub fn with_phased_pool<R>(threads: usize, body: impl FnOnce(&PhasedPool) -> R) -> R {
-    let spawned = threads.max(1) - 1;
-    let shared = PoolShared {
-        phase: Mutex::new(0),
-        phase_cv: Condvar::new(),
-        job: Mutex::new(None),
-        n: AtomicUsize::new(0),
-        next: AtomicUsize::new(0),
-        done: AtomicUsize::new(0),
-        failures: Mutex::new(Vec::new()),
-        workers: spawned,
-    };
-    if spawned == 0 {
-        return body(&PhasedPool { shared: &shared });
-    }
-    std::thread::scope(|scope| {
-        for _ in 0..spawned {
-            scope.spawn(|| worker_loop(&shared));
-        }
-        // A body panic (e.g. a propagated job failure) must still send
-        // the shutdown phase — otherwise the scope's implicit join
-        // deadlocks against workers parked in the phase condvar.
-        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            body(&PhasedPool { shared: &shared })
-        }));
-        // Shutdown: a phase with no job.
-        *shared.job.lock().unwrap_or_else(|e| e.into_inner()) = None;
-        let mut p = shared.phase.lock().unwrap_or_else(|e| e.into_inner());
-        *p += 1;
-        drop(p);
-        shared.phase_cv.notify_all();
-        match out {
-            Ok(v) => v,
-            Err(payload) => std::panic::resume_unwind(payload),
-        }
-    })
-}
-
 /// Best-effort extraction of a panic payload's message (`&str` and
 /// `String` payloads cover `panic!`, `assert!` and index/unwrap
 /// failures).
@@ -450,84 +165,5 @@ mod tests {
         for threads in [2, 4, 8] {
             assert_eq!(parallel_map(64, threads, |i| i * 3 + 1), serial);
         }
-    }
-
-    #[test]
-    fn phased_pool_maps_many_phases_in_index_order() {
-        for threads in [1, 2, 4, 8] {
-            with_phased_pool(threads, |pool| {
-                for phase in 0..20usize {
-                    let out = pool.map(37, |i| i * 7 + phase);
-                    assert_eq!(out.len(), 37);
-                    for (i, v) in out.iter().enumerate() {
-                        assert_eq!(*v, i * 7 + phase, "threads {threads} phase {phase}");
-                    }
-                }
-                // Empty phases are a no-op.
-                let empty: Vec<usize> = pool.map(0, |i| i);
-                assert!(empty.is_empty());
-            });
-        }
-    }
-
-    #[test]
-    fn phased_pool_jobs_see_caller_state_mutations_between_phases() {
-        use std::sync::atomic::AtomicU64;
-        // Each phase reads state the coordinator updated after the
-        // previous phase — the pattern the horizon-round drain relies on.
-        let base = AtomicU64::new(0);
-        with_phased_pool(4, |pool| {
-            let mut total = 0u64;
-            for round in 0..10u64 {
-                base.store(round * 100, Ordering::Relaxed);
-                let got = pool.map(8, |i| base.load(Ordering::Relaxed) + i as u64);
-                total += got.iter().sum::<u64>();
-            }
-            // sum over rounds of (800*round + 28)
-            assert_eq!(total, (0..10).map(|r| 800 * r + 28).sum::<u64>());
-        });
-    }
-
-    #[test]
-    fn map_on_workers_runs_off_the_coordinator() {
-        let coordinator = std::thread::current().id();
-        for threads in [2usize, 4] {
-            with_phased_pool(threads, |pool| {
-                let ran_on = Mutex::new(Vec::new());
-                let out = pool.map_on_workers(25, |i| {
-                    ran_on.lock().unwrap().push(std::thread::current().id());
-                    i + 1
-                });
-                assert_eq!(out, (1..=25).collect::<Vec<_>>());
-                let ids = ran_on.into_inner().unwrap();
-                assert_eq!(ids.len(), 25);
-                assert!(
-                    ids.iter().all(|&id| id != coordinator),
-                    "threads {threads}: a job ran on the coordinator"
-                );
-            });
-        }
-        // With no spawned workers the phase falls back to inline
-        // execution on the coordinator.
-        with_phased_pool(1, |pool| {
-            let out = pool.map_on_workers(5, |i| i * 2);
-            assert_eq!(out, vec![0, 2, 4, 6, 8]);
-        });
-    }
-
-    #[test]
-    fn phased_pool_propagates_job_panics() {
-        let caught = std::panic::catch_unwind(|| {
-            with_phased_pool(3, |pool| {
-                let _ = pool.map(6, |i| {
-                    assert!(i != 4, "pool job blew up");
-                    i
-                });
-            })
-        });
-        let payload = caught.expect_err("the job panic must propagate");
-        let msg = payload.downcast_ref::<String>().expect("String payload");
-        assert!(msg.contains("job 4 panicked"), "{msg}");
-        assert!(msg.contains("pool job blew up"), "{msg}");
     }
 }

@@ -248,8 +248,8 @@ pub fn parse(text: &str) -> Result<TrialSpec, String> {
     Ok(TrialSpec {
         grid,
         block,
-        trips: get_u32(&doc, "trips")?.max(1),
-        intensity: get_u32(&doc, "intensity")?.max(1),
+        trips: get_count(&doc, "trips")?,
+        intensity: get_count(&doc, "intensity")?,
         two_d: get_bool(&doc, "two_d")?,
         args,
         sites,
@@ -315,8 +315,8 @@ pub fn parse_session(text: &str) -> Result<SessionSpec, String> {
         launches.push(LaunchSpec {
             grid: get_pair(l, "grid")?,
             block: get_pair(l, "block")?,
-            trips: get_u32(l, "trips")?.max(1),
-            intensity: get_u32(l, "intensity")?.max(1),
+            trips: get_count(l, "trips")?,
+            intensity: get_count(l, "intensity")?,
             two_d: get_bool(l, "two_d")?,
             arg_idx,
             sites,
@@ -389,7 +389,7 @@ fn parse_site_list(json: Option<&Json>, num_args: usize) -> Result<Vec<SiteSpec>
             c_data: get_i64(s, "c_data")?,
             data_per_iter: get_bool(s, "data_per_iter")?,
             epilogue: get_bool(s, "epilogue")?,
-            lane_group: get_u32(s, "lane_group")?.max(1),
+            lane_group: get_count(s, "lane_group")?,
         };
         if site.arg as usize >= num_args {
             return Err(format!("site references arg {} of {num_args}", site.arg));
@@ -448,8 +448,9 @@ fn get_u32(v: &Json, key: &str) -> Result<u32, String> {
     u32::try_from(n).map_err(|_| format!("'{key}' exceeds u32 range"))
 }
 
-/// A `u32` count of hardware units, which must be at least 1: a zero is
-/// rejected rather than replayed as some other machine.
+/// A `u32` count (hardware units, loop trips, lanes per access), which
+/// must be at least 1: a zero is rejected rather than replayed as some
+/// other spec.
 fn get_count(v: &Json, key: &str) -> Result<u32, String> {
     match get_u32(v, key)? {
         0 => Err(format!("'{key}' must be at least 1")),
@@ -560,22 +561,28 @@ mod tests {
             .contains("references arg"));
     }
 
-    /// Sets the first `"sms_per_chiplet"` value in a rendered document
-    /// to 0.
-    fn zero_sms_per_chiplet(text: &str) -> String {
-        let key = "\"sms_per_chiplet\": ";
-        let at = text.find(key).expect("rendered config has the field") + key.len();
-        let end = at + text[at..].find(',').unwrap();
+    /// Sets the first `field` value in a rendered document to 0.
+    fn zero_field(text: &str, field: &str) -> String {
+        let key = format!("\"{field}\": ");
+        let at = text.find(&key).expect("rendered spec has the field") + key.len();
+        let end = at + text[at..].find(|c: char| !c.is_ascii_digit()).unwrap();
         format!("{}0{}", &text[..at], &text[end..])
     }
 
     #[test]
     fn zero_unit_counts_are_rejected() {
-        let err = parse(&zero_sms_per_chiplet(&render(&trial_spec(9, 4)))).unwrap_err();
-        assert!(err.contains("sms_per_chiplet"), "{err}");
+        let trial = render(&trial_spec(9, 4));
+        for field in ["sms_per_chiplet", "trips", "intensity", "lane_group"] {
+            let err = parse(&zero_field(&trial, field)).unwrap_err();
+            assert!(err.contains(field), "{field}: {err}");
+        }
+        // A session document: the first `trips`/`intensity` belong to a
+        // launch, the first `lane_group` to one of its sites.
         let session = render_session(&session_spec(9, 4));
-        let err = parse_session(&zero_sms_per_chiplet(&session)).unwrap_err();
-        assert!(err.contains("sms_per_chiplet"), "{err}");
+        for field in ["sms_per_chiplet", "trips", "intensity", "lane_group"] {
+            let err = parse_session(&zero_field(&session, field)).unwrap_err();
+            assert!(err.contains(field), "{field}: {err}");
+        }
     }
 
     #[test]

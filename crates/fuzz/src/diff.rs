@@ -46,15 +46,6 @@ pub enum Failure {
         /// Oracle stats rendering.
         oracle: String,
     },
-    /// The sharded driver's result depends on its worker-thread count.
-    ThreadVariance {
-        /// Worker threads of the deviating run.
-        threads: usize,
-        /// Single-thread stats rendering.
-        expected: String,
-        /// Deviating stats rendering.
-        got: String,
-    },
     /// An accounting identity the stats must satisfy was violated.
     Conservation {
         /// Which identity broke and how.
@@ -114,7 +105,6 @@ impl Failure {
             Failure::Panic { .. } => "panic",
             Failure::NonDeterministic { .. } => "non-deterministic",
             Failure::OracleDivergence { .. } => "oracle-divergence",
-            Failure::ThreadVariance { .. } => "thread-variance",
             Failure::Conservation { .. } => "conservation",
             Failure::MonolithicLeak { .. } => "monolithic-leak",
             Failure::InterleaveImbalance { .. } => "interleave-imbalance",
@@ -135,14 +125,6 @@ impl fmt::Display for Failure {
             Failure::OracleDivergence { engine, oracle } => {
                 write!(f, "engine/oracle divergence:\n  engine: {engine}\n  oracle: {oracle}")
             }
-            Failure::ThreadVariance {
-                threads,
-                expected,
-                got,
-            } => write!(
-                f,
-                "thread-count variance at {threads} threads:\n  1 thread:  {expected}\n  {threads} threads: {got}"
-            ),
             Failure::Conservation { detail } => write!(f, "conservation violation: {detail}"),
             Failure::MonolithicLeak { detail } => {
                 write!(f, "single-node machine reported NUMA traffic: {detail}")
@@ -206,15 +188,8 @@ fn panic_message(payload: &Box<dyn Any + Send>) -> String {
     }
 }
 
-fn run_engine(
-    cfg: &SimConfig,
-    kernel: &AffineKernel,
-    policy: &dyn Policy,
-    threads: usize,
-) -> KernelStats {
-    let mut sys = GpuSystem::new(cfg.clone());
-    sys.set_threads(threads);
-    sys.run(kernel, policy)
+fn run_engine(cfg: &SimConfig, kernel: &AffineKernel, policy: &dyn Policy) -> KernelStats {
+    GpuSystem::new(cfg.clone()).run(kernel, policy)
 }
 
 fn run_trial_inner(spec: &TrialSpec) -> Result<KernelStats, Failure> {
@@ -223,11 +198,11 @@ fn run_trial_inner(spec: &TrialSpec) -> Result<KernelStats, Failure> {
     cfg.validate();
     let policy = spec.policy.build(kernel.launch(), &cfg.topology);
 
-    let base = run_engine(&cfg, &kernel, &*policy, 1);
+    let base = run_engine(&cfg, &kernel, &*policy);
     let base_dbg = format!("{base:?}");
 
     // A fresh engine must replay bit-identically.
-    let again = format!("{:?}", run_engine(&cfg, &kernel, &*policy, 1));
+    let again = format!("{:?}", run_engine(&cfg, &kernel, &*policy));
     if again != base_dbg {
         return Err(Failure::NonDeterministic {
             first: base_dbg,
@@ -247,21 +222,6 @@ fn run_trial_inner(spec: &TrialSpec) -> Result<KernelStats, Failure> {
         });
     }
 
-    // The shard driver must be invariant to its worker-thread count.
-    // 2 and 4 exercise the conservative-lookahead drain at different
-    // shard groupings; 3 keeps an odd count that doesn't divide the
-    // node count; 8 oversubscribes every topology the generator emits.
-    for threads in [2usize, 3, 4, 8] {
-        let got = format!("{:?}", run_engine(&cfg, &kernel, &*policy, threads));
-        if got != base_dbg {
-            return Err(Failure::ThreadVariance {
-                threads,
-                expected: base_dbg,
-                got,
-            });
-        }
-    }
-
     check_conservation(spec, &cfg, &base)?;
     check_interleave_balance(&kernel, &cfg, &*policy)?;
     check_traffic_bound(spec, &kernel, &cfg, &*policy, &base)?;
@@ -274,9 +234,8 @@ fn run_trial_inner(spec: &TrialSpec) -> Result<KernelStats, Failure> {
 /// and every launch adopts), executes on a machine whose page homes
 /// carry across launches, and checks:
 ///
-/// 1. a fresh session machine replays bit-identically,
-/// 2. the sharded driver is invariant to its worker-thread count, and
-/// 3. **adoption transparency** — when no committed map is stateful
+/// 1. a fresh session machine replays bit-identically, and
+/// 2. **adoption transparency** — when no committed map is stateful
 ///    (no first-touch placements, migration off), the session's per-arg
 ///    off-node attribution is bit-identical to independently replaying
 ///    the same plans on fresh machines. Carried page state under
@@ -311,9 +270,8 @@ fn run_session_inner(spec: &SessionSpec) -> Result<(), Failure> {
         .map(|&(_, b, e)| (b, e))
         .collect();
 
-    let run = |threads: usize| -> Vec<SessionRunStats> {
+    let run = || -> Vec<SessionRunStats> {
         let mut sys = GpuSystem::new(cfg.clone());
-        sys.set_threads(threads);
         sys.begin_session(&pool);
         kernels
             .iter()
@@ -321,26 +279,15 @@ fn run_session_inner(spec: &SessionSpec) -> Result<(), Failure> {
             .map(|(k, p)| sys.run_session(k, p))
             .collect()
     };
-    let base = run(1);
+    let base = run();
     let base_dbg = render_session_runs(&base);
 
-    let again = render_session_runs(&run(1));
+    let again = render_session_runs(&run());
     if again != base_dbg {
         return Err(Failure::NonDeterministic {
             first: base_dbg,
             second: again,
         });
-    }
-
-    for threads in [2usize, 8] {
-        let got = render_session_runs(&run(threads));
-        if got != base_dbg {
-            return Err(Failure::ThreadVariance {
-                threads,
-                expected: base_dbg,
-                got,
-            });
-        }
     }
 
     // Adoption transparency is only claimed for stateless maps: an
@@ -358,7 +305,7 @@ fn run_session_inner(spec: &SessionSpec) -> Result<(), Failure> {
         return Ok(());
     }
     let refs: Vec<&dyn KernelExec> = kernels.iter().map(|k| k as &dyn KernelExec).collect();
-    let replayed = replay_independent(&cfg, 1, &pool, &refs, &plans);
+    let replayed = replay_independent(&cfg, &pool, &refs, &plans);
     for (i, (s, r)) in base.iter().zip(&replayed).enumerate() {
         if s.stats.offnode_by_arg != r.stats.offnode_by_arg
             || s.stats.sectors_offnode != r.stats.sectors_offnode
@@ -598,9 +545,9 @@ fn check_lasp_vs_first_touch(
             return Ok(());
         }
     }
-    let lasp = run_engine(cfg, kernel, &Lasp::ladm(), 1).sectors_offnode;
-    let ft = run_engine(cfg, kernel, &BatchFt::new(), 1).sectors_offnode;
-    let rr = run_engine(cfg, kernel, &BaselineRr::new(), 1).sectors_offnode;
+    let lasp = run_engine(cfg, kernel, &Lasp::ladm()).sectors_offnode;
+    let ft = run_engine(cfg, kernel, &BatchFt::new()).sectors_offnode;
+    let rr = run_engine(cfg, kernel, &BaselineRr::new()).sectors_offnode;
     // Per-input strict dominance does not hold: when LASP's address
     // bands and the accessed footprint misalign (page-straddling
     // columns, partial-coverage strides), a lucky first-touch wins

@@ -728,9 +728,8 @@ pub fn sample(rng: &mut SplitMix64) -> TrialSpec {
         .collect();
     // Dense cross-shard gather bias (1 in 8 trials): every site draws a
     // fresh data-dependent address each loop iteration, so nearly every
-    // window carries remote sectors and the conservative drain's
-    // local-only prefix (DESIGN.md §13) degenerates toward pure serial
-    // replay. Thread-variance is at its most fragile exactly there.
+    // warp step sends remote sectors across the fabric and the shards'
+    // L2 slices, links and page homes interact on almost every event.
     if rng.chance(1, 8) {
         for s in &mut sites {
             s.c_data = 1;
@@ -847,11 +846,10 @@ fn sample_config(rng: &mut SplitMix64) -> ConfigSpec {
         intra_bw: rng.range_u32(32, 2048),
         intra_latency: u64::from(rng.range_u32(1, 80)),
         ring_bw: rng.range_u32(16, 1024),
-        // Degenerate-lookahead machines (1 in 6 each): a latency-1 ring
-        // or switch pins the conservative-drain horizon (DESIGN.md §13)
-        // at its floor, maximizing round count and shrinking windows to
-        // near-single events — the regime where a horizon off-by-one
-        // would reorder cross-shard effects.
+        // Minimum-latency links (1 in 6 each): a latency-1 ring or
+        // switch makes cross-chiplet replies land within a cycle or two
+        // of the request, so near-simultaneous events from different
+        // shards interleave densely in the canonical (time, seq) order.
         ring_latency: if rng.chance(1, 6) {
             1
         } else {

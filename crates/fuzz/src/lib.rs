@@ -8,8 +8,7 @@
 //! ([`gen`]), executed in lockstep on both simulators and compared
 //! bit-for-bit on [`ladm_sim::KernelStats`] ([`diff`]). On top of the
 //! oracle comparison each trial checks metamorphic properties: a fresh
-//! engine replays deterministically, the sharded driver is invariant to
-//! its worker-thread count, accounting identities hold (off-node ≥
+//! engine replays deterministically, accounting identities hold (off-node ≥
 //! off-GPU, per-arg attribution sums to the total), a single-node
 //! machine sees zero NUMA traffic, Equation-1 interleavings stay
 //! balanced, and LASP never sends more off-node traffic than the

@@ -217,22 +217,6 @@ pub enum Event {
         /// Node the page was bound to.
         node: u16,
     },
-    /// The threaded engine driver reached an epoch barrier: the pure
-    /// per-shard generation work for the pending events was fanned out
-    /// to worker threads and joined before the epoch was drained in
-    /// canonical order. Serial runs emit none of these; aside from
-    /// them, threaded and serial traces are identical.
-    EpochBarrier {
-        /// Simulator cycle of the earliest pending event.
-        time: f64,
-        /// Epoch index within the kernel (0-based).
-        epoch: u32,
-        /// Pending warp events snapshotted at the barrier.
-        pending: u32,
-        /// How many of those needed sector-list generation (the rest
-        /// replay a cached iteration).
-        gen_tasks: u32,
-    },
     /// A kernel finished executing.
     KernelEnd {
         /// Kernel name.
@@ -290,7 +274,6 @@ impl Event {
             Event::Sector { .. } => "sector",
             Event::LinkTransfer { .. } => "link_transfer",
             Event::FirstTouch { .. } => "first_touch",
-            Event::EpochBarrier { .. } => "epoch_barrier",
             Event::KernelEnd { .. } => "kernel_end",
             Event::PlanAdopted { .. } => "plan_adopted",
             Event::PlanReplanned { .. } => "plan_replanned",

@@ -24,7 +24,7 @@
 //!   standard metric set.
 //! * [`prof`] — the second observation axis: a zero-cost-when-disabled
 //!   hierarchical span profiler over the simulator's *own* wall-clock
-//!   time (phase attribution, shard utilization, flamegraph export).
+//!   time (phase attribution, flamegraph export).
 //! * [`json`] — a minimal parser used to validate emitted documents
 //!   without external dependencies.
 

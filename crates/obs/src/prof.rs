@@ -3,9 +3,8 @@
 //!
 //! The trace layer ([`crate::event`]) observes *simulated* time; this
 //! module observes the second axis: where the simulator's wall-clock
-//! time goes — plan vs. generation vs. drain vs. barrier wait — so
-//! engine-parallelism work is designed against measured phase splits
-//! instead of estimates.
+//! time goes — plan vs. generation vs. drain — so engine work is
+//! designed against measured phase splits instead of estimates.
 //!
 //! ## Model
 //!
@@ -90,7 +89,6 @@ struct LocalProf {
     nodes: Vec<Node>,
     stack: Vec<usize>,
     counters: Vec<(&'static str, u64)>,
-    named: BTreeMap<String, u64>,
 }
 
 impl LocalProf {
@@ -104,7 +102,6 @@ impl LocalProf {
             }],
             stack: vec![0],
             counters: Vec::new(),
-            named: BTreeMap::new(),
         }
     }
 
@@ -120,11 +117,10 @@ impl LocalProf {
         self.stack.clear();
         self.stack.push(0);
         self.counters.clear();
-        self.named.clear();
     }
 
     fn is_empty(&self) -> bool {
-        self.nodes.len() == 1 && self.counters.is_empty() && self.named.is_empty()
+        self.nodes.len() == 1 && self.counters.is_empty()
     }
 
     /// Finds or creates `name` as a child of the open span and makes it
@@ -176,9 +172,6 @@ impl LocalProf {
         }
         for &(name, v) in &self.counters {
             *global.counters.entry(name.to_string()).or_insert(0) += v;
-        }
-        for (name, v) in &self.named {
-            *global.counters.entry(name.clone()).or_insert(0) += v;
         }
         self.clear();
     }
@@ -261,7 +254,7 @@ pub fn span(name: &'static str) -> SpanGuard {
 
 /// Adds `delta` to the named profiler counter. One branch when
 /// profiling is disabled. Counter keys are static so the hot path never
-/// allocates; see [`count_named`] for dynamic keys.
+/// allocates.
 #[inline]
 pub fn count(name: &'static str, delta: u64) {
     if !profiling() {
@@ -274,18 +267,6 @@ pub fn count(name: &'static str, delta: u64) {
             return;
         }
         l.counters.push((name, delta));
-    });
-}
-
-/// Adds `delta` to a dynamically-named counter (e.g. a per-shard key).
-/// The `String` key is only built by callers after checking
-/// [`profiling`], so the disabled path stays allocation-free.
-pub fn count_named(name: String, delta: u64) {
-    if !profiling() {
-        return;
-    }
-    LOCAL.with(|l| {
-        *l.borrow_mut().named.entry(name).or_insert(0) += delta;
     });
 }
 
@@ -318,7 +299,7 @@ impl ProfNode {
 pub struct Profile {
     /// Top-level spans (no open parent at record time), sorted by name.
     pub roots: Vec<ProfNode>,
-    /// Merged [`count`]/[`count_named`] values.
+    /// Merged [`count`] values.
     pub counters: BTreeMap<String, u64>,
 }
 
@@ -508,7 +489,6 @@ mod tests {
         }
         count("widgets", 2);
         count("widgets", 5);
-        count_named("shard00.gen_ns".to_string(), 7);
         disable();
         let p = take();
         assert_eq!(p.roots.len(), 1);
@@ -521,7 +501,6 @@ mod tests {
         assert_eq!(root.children[0].count, 3);
         assert!(root.total_ns >= root.children.iter().map(|c| c.total_ns).sum());
         assert_eq!(p.counters["widgets"], 7);
-        assert_eq!(p.counters["shard00.gen_ns"], 7);
         // find + flatten agree on paths.
         assert_eq!(p.find("root;child").unwrap().count, 3);
         assert!(p.find("root;missing").is_none());

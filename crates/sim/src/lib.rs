@@ -35,11 +35,9 @@
 pub mod bw;
 pub mod cache;
 pub mod config;
-mod drain;
 pub mod exec;
 pub mod fabric;
 pub mod homes;
-pub mod horizon;
 pub mod mem;
 pub mod oracle;
 pub mod session;

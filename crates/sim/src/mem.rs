@@ -339,38 +339,6 @@ impl AddressSpace {
         }
     }
 
-    /// Pure (no-mutation, `&self`) home lookup for pages that are
-    /// already bound: the parallel drain's classification path. Returns
-    /// `None` when the address is unmapped or the page still awaits its
-    /// first touch — binding mutates the shared table, so such sectors
-    /// must take the canonical-order serial path. Sub-page-striped
-    /// pages resolve exactly like [`AddressSpace::resolve`] does, via
-    /// the pure [`crate::homes::static_home`] function.
-    #[inline]
-    pub fn resolve_bound(&self, addr: u64, topo: &Topology) -> Option<NodeId> {
-        let page = (addr >> self.page_shift) as usize;
-        let entry = self.page_homes.get(page)?;
-        if entry.arg == ARG_UNMAPPED {
-            return None;
-        }
-        match entry.home {
-            HOME_FIRST_TOUCH => None,
-            HOME_SUB_PAGE => {
-                let alloc = &self.allocs[entry.arg as usize];
-                let crate::homes::StaticHome::Node(node) = crate::homes::static_home(
-                    &alloc.page_map,
-                    addr - alloc.base,
-                    self.page_bytes,
-                    topo,
-                ) else {
-                    unreachable!("sub-page maps resolve at byte granularity")
-                };
-                Some(node)
-            }
-            home => Some(NodeId(home)),
-        }
-    }
-
     /// Resolves the home chiplet of `addr`, with `toucher` as the
     /// first-touch candidate.
     pub fn home_of(&mut self, addr: u64, toucher: NodeId, topo: &Topology) -> HomeLookup {
@@ -595,41 +563,6 @@ mod tests {
         assert_eq!(mem.remote_insert_of(a1), RemoteInsert::Once);
         assert_eq!(mem.alloc_of_addr(a0 + 4096).0, 0);
         assert_eq!(mem.alloc_of_addr(a1).0, 1);
-    }
-
-    #[test]
-    fn resolve_bound_is_pure_and_agrees_with_resolve() {
-        let mut mem = AddressSpace::new(4096);
-        mem.alloc(4 * 4096, 4);
-        mem.alloc(4096, 4);
-        let plan = KernelPlan {
-            args: vec![
-                ArgPlan::new(PageMap::SubPageInterleave {
-                    gran_bytes: 1024,
-                    order: RrOrder::Hierarchical,
-                }),
-                ArgPlan::new(PageMap::FirstTouch),
-            ],
-            schedule: TbMap::Chunk { per_node: 1 },
-        };
-        mem.apply_plan(&plan, &topo());
-        let a0 = mem.allocations()[0].base;
-        let a1 = mem.allocations()[1].base;
-        // Sub-page interleaving resolves purely, matching resolve().
-        for off in [0u64, 1024, 4096 + 2048, 3 * 4096] {
-            let expect = mem.clone().resolve(a0 + off, NodeId(9), &topo()).node;
-            assert_eq!(mem.resolve_bound(a0 + off, &topo()), Some(expect));
-        }
-        // First-touch pages are unbound — classification must defer —
-        // and the probe itself must not bind or fault anything.
-        assert_eq!(mem.resolve_bound(a1, &topo()), None);
-        assert_eq!(mem.page_faults(), 0);
-        // Once canonically bound, the pure path sees the binding.
-        let h = mem.resolve(a1, NodeId(3), &topo());
-        assert!(h.faulted);
-        assert_eq!(mem.resolve_bound(a1, &topo()), Some(NodeId(3)));
-        // Out-of-range addresses report None instead of panicking.
-        assert_eq!(mem.resolve_bound(a1 + (1 << 40), &topo()), None);
     }
 
     /// Differential oracle: the flat page-home table must agree with the

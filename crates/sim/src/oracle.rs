@@ -1101,7 +1101,6 @@ mod tests {
 
     fn assert_oracle_matches(cfg: SimConfig, kernel: &dyn KernelExec, policy: &dyn Policy) {
         let mut fast = GpuSystem::new(cfg.clone());
-        fast.set_threads(1);
         let engine = fast.run(kernel, policy);
         let mut slow = OracleSystem::new(cfg);
         let oracle = slow.run(kernel, policy);

@@ -50,12 +50,6 @@ impl SessionSim {
         }
     }
 
-    /// Sets the engine worker-thread count (bit-identical results for
-    /// any value, as for [`GpuSystem::set_threads`]).
-    pub fn set_threads(&mut self, threads: usize) {
-        self.sys.set_threads(threads);
-    }
-
     /// The planning session (e.g. to attach a trace sink before the
     /// first step).
     pub fn session_mut(&mut self) -> &mut PlacementSession {
@@ -124,7 +118,6 @@ impl SessionSim {
 /// session run.
 pub fn replay_independent(
     cfg: &SimConfig,
-    threads: usize,
     pool: &[(u64, u32)],
     kernels: &[&dyn KernelExec],
     plans: &[SessionPlan],
@@ -135,7 +128,6 @@ pub fn replay_independent(
         .zip(plans)
         .map(|(kernel, plan)| {
             let mut sys = GpuSystem::new(cfg.clone());
-            sys.set_threads(threads.max(1));
             sys.begin_session(pool);
             let fresh = SessionPlan {
                 plan: plan.plan.clone(),
@@ -261,7 +253,7 @@ mod tests {
             .collect();
 
         let refs: Vec<&dyn KernelExec> = kernels.iter().map(|k| &**k).collect();
-        let replayed = replay_independent(&cfg(), 1, &pool, &refs, &plans);
+        let replayed = replay_independent(&cfg(), &pool, &refs, &plans);
         for (s, r) in session_stats.iter().zip(&replayed) {
             assert_eq!(s.offnode_by_arg, r.stats.offnode_by_arg);
             assert_eq!(s.sectors_offnode, r.stats.sectors_offnode);

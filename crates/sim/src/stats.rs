@@ -159,8 +159,7 @@ impl KernelStats {
     ///
     /// Every field's merge operator is commutative and associative —
     /// `u64` sums, `f64` max, element-wise vector sums — so the result
-    /// is independent of the order shards are merged in. This is the
-    /// determinism anchor for the threaded engine driver: any partition
+    /// is independent of the order shards are merged in: any partition
     /// of the work across shards folds to the same total.
     pub fn merge_shard(&mut self, other: &KernelStats) {
         self.cycles = self.cycles.max(other.cycles);
@@ -365,8 +364,7 @@ mod tests {
     #[test]
     fn merge_shard_is_order_independent() {
         // Property over pseudo-random shard stats: folding any
-        // permutation of shards yields the identical total (the
-        // determinism anchor for the threaded engine).
+        // permutation of shards yields the identical total.
         let shards: Vec<KernelStats> = (0..8).map(arbitrary_shard).collect();
         let fold = |order: &[usize]| {
             let mut total = KernelStats::default();

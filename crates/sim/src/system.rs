@@ -12,17 +12,14 @@
 //! bandwidth pressure — the paper's central NUMA effect — emerges without
 //! cycle-by-cycle iteration.
 //!
-//! ## Determinism and the threaded driver
+//! ## Determinism
 //!
-//! Every stateful transition (cache lookups, bucket claims, first-touch
-//! binding, dispatch) happens in the canonical global `(time, seq)` event
-//! order, on the caller thread. What parallelizes ([`GpuSystem::set_threads`],
-//! `LADM_SIM_THREADS`) is the *pure* half of each warp step: access
-//! generation + coalescing, which depends only on the immutable kernel and
-//! the warp's coordinates. The epoch driver snapshots the pending events,
-//! fans the missing sector lists out to worker threads by shard, barriers,
-//! then drains the epoch serially — so any thread count produces
-//! bit-identical [`KernelStats`] (enforced by `tests/determinism.rs`).
+//! Every transition (cache lookups, bucket claims, first-touch binding,
+//! dispatch) happens in the canonical global `(time, seq)` event order
+//! of one serial loop, so a run is a pure function of the kernel, the
+//! plan and the configuration (pinned by `tests/stats_golden.rs`).
+//! Parallelism lives one level up: independent (workload, policy) cells
+//! fan out over `ladm_core::par::parallel_map`, one `GpuSystem` each.
 
 use crate::config::SimConfig;
 use crate::exec::{KernelExec, ThreadAccess};
@@ -30,7 +27,6 @@ use crate::fabric::Fabric;
 use crate::mem::AddressSpace;
 use crate::shard::{ChipletShard, RemoteRequest, SectorCtx};
 use crate::stats::KernelStats;
-use ladm_core::par::parallel_map_labeled;
 use ladm_core::plan::KernelPlan;
 use ladm_core::policies::Policy;
 use ladm_core::session::SessionPlan;
@@ -42,10 +38,10 @@ use std::sync::Arc;
 
 /// Event-heap key with deterministic total order.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct Event {
-    pub(crate) time: f64,
-    pub(crate) seq: u64,
-    pub(crate) warp: u32,
+struct Event {
+    time: f64,
+    seq: u64,
+    warp: u32,
 }
 
 impl Eq for Event {}
@@ -65,78 +61,78 @@ impl Ord for Event {
 }
 
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct WarpCtx {
-    pub(crate) bx: u32,
-    pub(crate) by: u32,
-    pub(crate) warp: u32,
-    pub(crate) iter: u32,
-    pub(crate) sm: u32,
-    pub(crate) tb: u32,
+struct WarpCtx {
+    bx: u32,
+    by: u32,
+    warp: u32,
+    iter: u32,
+    sm: u32,
+    tb: u32,
 }
 
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct TbCtx {
+struct TbCtx {
     live_warps: u32,
     node: u32,
 }
 
 /// A warp slot's cached generation result: the instruction count and
-/// coalesced sector list for iteration `iter`. Doubles as the
-/// iteration-invariant replay cache (the tag is ignored then) and the
-/// epoch driver's prefetch target; invalidated when the slot is
+/// coalesced sector list of its last generated iteration. For
+/// iteration-invariant kernels it is the replay cache later trips read
+/// instead of regenerating; it is invalidated when the slot is
 /// recycled, with the sector allocation retained.
 #[derive(Debug, Default)]
-pub(crate) struct SlotCache {
-    pub(crate) valid: bool,
-    pub(crate) iter: u32,
-    pub(crate) instrs: u64,
-    pub(crate) sectors: Vec<(u64, bool)>,
+struct SlotCache {
+    valid: bool,
+    instrs: u64,
+    sectors: Vec<(u64, bool)>,
 }
 
 impl SlotCache {
-    pub(crate) fn ready_for(&self, iter: u32, iter_invariant: bool) -> bool {
-        self.valid && (iter_invariant || self.iter == iter)
+    /// Whether this slot already holds the step's sector list: only an
+    /// iteration-invariant kernel replays a previous trip's generation.
+    fn ready_for(&self, iter_invariant: bool) -> bool {
+        self.valid && iter_invariant
     }
 }
 
 /// Dynamic engine state for one `execute` call: warp/threadblock slot
 /// tables, the event heap and the per-slot generation caches.
 #[derive(Debug, Default)]
-pub(crate) struct EngineState {
-    pub(crate) warps: Vec<WarpCtx>,
-    pub(crate) free_warp_slots: Vec<u32>,
-    pub(crate) tbs: Vec<TbCtx>,
-    pub(crate) free_tb_slots: Vec<u32>,
-    pub(crate) heap: BinaryHeap<Reverse<Event>>,
-    pub(crate) seq: u64,
-    pub(crate) slots: Vec<SlotCache>,
-    pub(crate) access_buf: Vec<ThreadAccess>,
+struct EngineState {
+    warps: Vec<WarpCtx>,
+    free_warp_slots: Vec<u32>,
+    tbs: Vec<TbCtx>,
+    free_tb_slots: Vec<u32>,
+    heap: BinaryHeap<Reverse<Event>>,
+    seq: u64,
+    slots: Vec<SlotCache>,
+    access_buf: Vec<ThreadAccess>,
 }
 
 /// Hoisted per-kernel constants — the engine loop never clones
 /// `SimConfig` or chases `self.cfg` per event.
-pub(crate) struct EngineConsts<'a> {
-    pub(crate) warps_per_tb: u32,
-    pub(crate) sms_per_chiplet: u32,
-    pub(crate) trips: u32,
-    pub(crate) compute_cycles: f64,
-    pub(crate) issue_cost: f64,
-    pub(crate) iter_invariant: bool,
-    pub(crate) warp_size: u32,
-    pub(crate) sector_mask: u64,
+struct EngineConsts<'a> {
+    warps_per_tb: u32,
+    sms_per_chiplet: u32,
+    trips: u32,
+    compute_cycles: f64,
+    issue_cost: f64,
+    iter_invariant: bool,
+    warp_size: u32,
+    sector_mask: u64,
     /// Per-allocation `(base, elems, elem_bytes)` so coalescing resolves
     /// addresses from a local table instead of re-deriving the extent
     /// per thread access through `AddressSpace::addr_of`.
-    pub(crate) addr_tab: &'a [(u64, u64, u64)],
+    addr_tab: &'a [(u64, u64, u64)],
 }
 
 /// Generates one warp iteration's accesses and coalesces them into
 /// sorted, deduplicated sectors; returns the instruction count.
 ///
 /// Pure with respect to the machine: reads only the (immutable) kernel
-/// and the per-kernel constants, which is what lets the epoch driver
-/// compute it on worker threads without perturbing determinism.
-pub(crate) fn gen_warp(
+/// and the per-kernel constants.
+fn gen_warp(
     kernel: &dyn KernelExec,
     k: &EngineConsts,
     ctx: WarpCtx,
@@ -182,15 +178,6 @@ pub(crate) fn gen_warp(
     1 + mem_instrs
 }
 
-/// Parses `LADM_SIM_THREADS`; unset, unparsable or zero means serial.
-fn threads_from_env() -> usize {
-    std::env::var("LADM_SIM_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .map(|n| n.max(1))
-        .unwrap_or(1)
-}
-
 /// One session launch's results: the kernel statistics plus the
 /// re-placement cost the launch paid *before* running — pages whose
 /// committed home changed because the launch replanned (or planned
@@ -218,13 +205,10 @@ pub struct GpuSystem {
     pub(crate) shards: Vec<ChipletShard>,
     fabric: Fabric,
     sink: Option<Arc<dyn TraceSink>>,
-    threads: usize,
 }
 
 impl GpuSystem {
-    /// Builds the machine for a configuration. The engine thread count
-    /// defaults to `LADM_SIM_THREADS` (serial when unset); override
-    /// with [`GpuSystem::set_threads`].
+    /// Builds the machine for a configuration.
     ///
     /// # Panics
     ///
@@ -239,7 +223,6 @@ impl GpuSystem {
                 .collect(),
             fabric: Fabric::new(&cfg),
             sink: None,
-            threads: threads_from_env(),
             cfg,
         }
     }
@@ -252,18 +235,6 @@ impl GpuSystem {
     /// The per-chiplet engine shards, in chiplet-id order.
     pub fn shards(&self) -> &[ChipletShard] {
         &self.shards
-    }
-
-    /// Sets the engine worker-thread count. `1` (or `0`) runs the
-    /// classic serial loop; `n > 1` runs the epoch-prefetch driver on
-    /// `n` threads. Results are bit-identical either way.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
-    }
-
-    /// The configured engine worker-thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Attaches a trace sink: subsequent [`GpuSystem::run`]s report the
@@ -432,8 +403,7 @@ impl GpuSystem {
     }
 
     /// Core engine: sets up shard queues and resident-warp state, then
-    /// drives the event heap — serially, or via the epoch driver when
-    /// more than one worker thread is configured.
+    /// drains the event heap.
     fn execute(&mut self, kernel: &dyn KernelExec, plan: &KernelPlan) -> KernelStats {
         let addr_tab: Vec<(u64, u64, u64)> = self
             .mem
@@ -508,29 +478,7 @@ impl GpuSystem {
         }
         drop(prof_setup);
 
-        if self.threads > 1 {
-            let threads = self.threads;
-            // The conservative-lookahead drain executes local-only event
-            // prefixes on the shards concurrently. It is sound only when
-            // every cross-thread effect is excluded from the parallel
-            // window: no trace sink (events must be emitted in canonical
-            // interleaved order), no reactive migration (remote accesses
-            // mutate the shared page table), and a positive horizon
-            // (`min(compute block, minimum cross-shard link latency)`).
-            // Everything else falls back to the epoch-prefetch driver —
-            // as does the drain itself, mid-kernel, when enough
-            // consecutive rounds execute nothing in parallel (see
-            // `drain::DEMOTE_AFTER`).
-            let delta = crate::horizon::lookahead(&self.cfg)
-                .map(|l| l.min(k.compute_cycles))
-                .filter(|&d| d > 0.0);
-            match delta {
-                Some(delta) if sink.is_none() && self.cfg.migration_threshold == 0 => {
-                    self.drain_conservative(&mut eng, kernel, &k, threads, delta);
-                }
-                _ => self.run_epochs(&mut eng, kernel, &k, sink, threads),
-            }
-        } else {
+        {
             let _prof_drain = prof::span("drain_serial");
             while self.step(&mut eng, kernel, &k, sink) {}
         }
@@ -566,7 +514,7 @@ impl GpuSystem {
 
     /// Dispatches threadblocks from shard `node`'s queue onto its SMs
     /// until no SM has room for a whole block.
-    pub(crate) fn dispatch_node(
+    fn dispatch_node(
         &mut self,
         eng: &mut EngineState,
         node: u32,
@@ -647,7 +595,7 @@ impl GpuSystem {
 
     /// Pops and resolves one event in canonical global order. Returns
     /// `false` when the heap is empty.
-    pub(crate) fn step(
+    fn step(
         &mut self,
         eng: &mut EngineState,
         kernel: &dyn KernelExec,
@@ -690,17 +638,15 @@ impl GpuSystem {
             return true;
         }
 
-        // This iteration's accesses: replayed from the slot cache (filled
-        // by the epoch prefetch or an invariant earlier trip), or
-        // generated inline.
+        // This iteration's accesses: replayed from the slot cache (an
+        // iteration-invariant kernel's earlier trip), or generated inline.
         let EngineState {
             slots, access_buf, ..
         } = eng;
         let slot = &mut slots[ev.warp as usize];
-        if !slot.ready_for(ctx.iter, k.iter_invariant) {
+        if !slot.ready_for(k.iter_invariant) {
             let _prof_gen = prof::span("gen_inline");
             slot.instrs = gen_warp(kernel, k, ctx, access_buf, &mut slot.sectors);
-            slot.iter = ctx.iter;
             slot.valid = true;
         }
         let instrs = slot.instrs;
@@ -721,114 +667,6 @@ impl GpuSystem {
         eng.seq += 1;
         heap_push(eng, done, ev.warp);
         true
-    }
-
-    /// Epoch-prefetch driver: between barriers, worker threads compute
-    /// the pure generation results (sector lists) for every pending
-    /// event that needs one, grouped by shard; the barrier joins them
-    /// into the slot caches; then the epoch's snapshot is drained
-    /// serially in canonical order (events pushed mid-drain that pop
-    /// early simply fall back to inline generation). No shard state is
-    /// touched off the caller thread, so results are bit-identical to
-    /// the serial loop for any thread count.
-    pub(crate) fn run_epochs(
-        &mut self,
-        eng: &mut EngineState,
-        kernel: &dyn KernelExec,
-        k: &EngineConsts,
-        sink: Option<&dyn TraceSink>,
-        threads: usize,
-    ) {
-        let nodes = self.shards.len();
-        let mut epoch: u32 = 0;
-        while let Some(&Reverse(head)) = eng.heap.peek() {
-            let head_time = head.time;
-            // Snapshot: every pending warp event that will need a fresh
-            // sector list for the iteration it is about to execute.
-            let prof_snapshot = prof::span("snapshot");
-            let mut tasks: Vec<Vec<(u32, WarpCtx)>> = vec![Vec::new(); nodes];
-            let mut gen_tasks = 0u32;
-            for &Reverse(ev) in eng.heap.iter() {
-                let ctx = eng.warps[ev.warp as usize];
-                if ctx.iter >= k.trips {
-                    continue;
-                }
-                if eng.slots[ev.warp as usize].ready_for(ctx.iter, k.iter_invariant) {
-                    continue;
-                }
-                tasks[(ctx.sm / k.sms_per_chiplet) as usize].push((ev.warp, ctx));
-                gen_tasks += 1;
-            }
-            // Heap iteration order is layout-dependent; sort so each
-            // worker job's content is reproducible run to run.
-            for t in &mut tasks {
-                t.sort_unstable_by_key(|&(slot, _)| slot);
-            }
-            drop(prof_snapshot);
-            if let Some(s) = sink {
-                s.record(TraceEvent::EpochBarrier {
-                    time: head_time,
-                    epoch,
-                    pending: eng.heap.len() as u32,
-                    gen_tasks,
-                });
-            }
-            if gen_tasks > 0 {
-                // The fan-out span covers job distribution, worker
-                // execution AND the coordinator's barrier wait (the
-                // join); per-shard busy time lands in the
-                // `shardNN.gen_ns` counters recorded by the workers, so
-                // barrier idle = workers × fanout wall − Σ busy.
-                let prof_fanout = prof::span("gen_fanout");
-                let produced = parallel_map_labeled(
-                    nodes,
-                    threads,
-                    |i| format!("shard {i} gen (epoch {epoch})"),
-                    |i| {
-                        let _prof_worker = prof::span("gen_worker");
-                        let busy = prof::profiling().then(std::time::Instant::now);
-                        let mut access_buf: Vec<ThreadAccess> = Vec::with_capacity(256);
-                        let out = tasks[i]
-                            .iter()
-                            .map(|&(slot, ctx)| {
-                                let mut sectors: Vec<(u64, bool)> = Vec::with_capacity(64);
-                                let instrs =
-                                    gen_warp(kernel, k, ctx, &mut access_buf, &mut sectors);
-                                (slot, ctx.iter, instrs, sectors)
-                            })
-                            .collect::<Vec<_>>();
-                        if let Some(t0) = busy {
-                            prof::count_named(
-                                format!("shard{i:02}.gen_ns"),
-                                t0.elapsed().as_nanos() as u64,
-                            );
-                            prof::count_named(format!("shard{i:02}.gen_tasks"), out.len() as u64);
-                        }
-                        out
-                    },
-                );
-                drop(prof_fanout);
-                let _prof_join = prof::span("join");
-                for per_shard in produced {
-                    for (slot_idx, iter, instrs, sectors) in per_shard {
-                        let slot = &mut eng.slots[slot_idx as usize];
-                        slot.valid = true;
-                        slot.iter = iter;
-                        slot.instrs = instrs;
-                        slot.sectors = sectors;
-                    }
-                }
-            }
-            // Drain exactly this epoch's snapshot in canonical order.
-            let _prof_drain = prof::span("drain");
-            let drain = eng.heap.len();
-            for _ in 0..drain {
-                if !self.step(eng, kernel, k, sink) {
-                    break;
-                }
-            }
-            epoch += 1;
-        }
     }
 
     /// Drives one 32 B sector through the hierarchy starting at `t`;
@@ -1169,55 +1007,6 @@ mod tests {
     }
 
     #[test]
-    fn threaded_engine_is_bit_identical() {
-        let kernel = VecAdd::new(256, 128);
-        let mut serial = GpuSystem::new(SimConfig::paper_multi_gpu());
-        serial.set_threads(1);
-        let base = serial.run(&kernel, &BaselineRr::new());
-        for threads in [2, 4, 8] {
-            let mut sys = GpuSystem::new(SimConfig::paper_multi_gpu());
-            sys.set_threads(threads);
-            let stats = sys.run(&kernel, &BaselineRr::new());
-            assert_eq!(
-                format!("{stats:?}"),
-                format!("{base:?}"),
-                "threads={threads} must be bit-identical to serial"
-            );
-        }
-    }
-
-    #[test]
-    fn threaded_trace_adds_only_epoch_barriers() {
-        use ladm_obs::RecordingSink;
-
-        let kernel = VecAdd::new(64, 128);
-        let mut sys = GpuSystem::new(SimConfig::paper_multi_gpu());
-        sys.set_threads(1);
-        let sink = Arc::new(RecordingSink::new());
-        sys.set_sink(sink.clone());
-        sys.run(&kernel, &Lasp::ladm());
-        let serial = sink.take_events();
-
-        sys.set_threads(4);
-        sys.run(&kernel, &Lasp::ladm());
-        let threaded = sink.take_events();
-
-        let barriers = threaded
-            .iter()
-            .filter(|e| e.name() == "epoch_barrier")
-            .count();
-        assert!(barriers > 0, "threaded runs report epoch barriers");
-        let filtered: Vec<_> = threaded
-            .into_iter()
-            .filter(|e| e.name() != "epoch_barrier")
-            .collect();
-        assert_eq!(
-            filtered, serial,
-            "threaded trace differs from serial only by barrier markers"
-        );
-    }
-
-    #[test]
     fn shards_expose_per_chiplet_stats() {
         let kernel = VecAdd::new(256, 128);
         let mut sys = GpuSystem::new(SimConfig::paper_multi_gpu());
@@ -1234,15 +1023,5 @@ mod tests {
             .shards()
             .iter()
             .all(|s| s.stats().cycles <= total.cycles));
-    }
-
-    #[test]
-    fn env_thread_count_is_parsed_and_clamped() {
-        assert_eq!(threads_from_env().max(1), threads_from_env());
-        let mut sys = GpuSystem::new(SimConfig::paper_multi_gpu());
-        sys.set_threads(0);
-        assert_eq!(sys.threads(), 1, "zero clamps to serial");
-        sys.set_threads(8);
-        assert_eq!(sys.threads(), 8);
     }
 }

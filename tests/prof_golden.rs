@@ -5,11 +5,10 @@
 //! invariants are pinned here:
 //!
 //! 1. **Stats invariance** — with profiling enabled, `KernelStats` stay
-//!    bit-identical to an unprofiled run at every engine thread count.
+//!    bit-identical to an unprofiled run.
 //! 2. **Shape determinism** — the merged span tree's *shape* (names and
-//!    nesting, not times) is a function of the code path, not of thread
-//!    scheduling: identical across repeats and across worker counts in
-//!    the threaded engine.
+//!    nesting, not times) is a function of the code path: identical
+//!    across repeats.
 //!
 //! The profiler is process-global, so every test that enables it
 //! serializes on one lock.
@@ -26,17 +25,15 @@ fn locked() -> std::sync::MutexGuard<'static, ()> {
     PROF_LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Runs VecAdd + PageRank at `threads` workers and returns the stats
-/// digest (full `Debug` rendering — any counter or cycle drift changes
-/// it).
-fn digest(threads: usize) -> String {
+/// Runs VecAdd + PageRank and returns the stats digest (full `Debug`
+/// rendering — any counter or cycle drift changes it).
+fn digest() -> String {
     let cfg = SimConfig::paper_multi_gpu();
     let policy = Lasp::ladm();
     let mut lines = Vec::new();
     for name in ["VecAdd", "PageRank"] {
         let w = by_name(name, Scale::Test).expect("Table IV name");
         let mut sys = GpuSystem::new(cfg.clone());
-        sys.set_threads(threads);
         let mut total = KernelStats::default();
         for kernel in &w.kernels {
             total.accumulate(&sys.run(&**kernel, &policy as &dyn Policy));
@@ -48,10 +45,10 @@ fn digest(threads: usize) -> String {
 
 /// As [`digest`], but with the profiler live around the runs; also
 /// returns the merged profile for shape checks.
-fn digest_profiled(threads: usize) -> (String, prof::Profile) {
+fn digest_profiled() -> (String, prof::Profile) {
     prof::reset();
     prof::enable();
-    let d = digest(threads);
+    let d = digest();
     prof::disable();
     (d, prof::take())
 }
@@ -59,25 +56,17 @@ fn digest_profiled(threads: usize) -> (String, prof::Profile) {
 #[test]
 fn profiling_leaves_stats_bit_identical_at_every_thread_count() {
     let _t = locked();
-    for threads in [1, 2, 8] {
-        let plain = digest(threads);
-        let (profiled, profile) = digest_profiled(threads);
-        assert_eq!(
-            plain, profiled,
-            "profiling changed simulated stats at {threads} thread(s)"
-        );
-        assert!(
-            !profile.is_empty(),
-            "profiler captured nothing at {threads} thread(s)"
-        );
-    }
+    let plain = digest();
+    let (profiled, profile) = digest_profiled();
+    assert_eq!(plain, profiled, "profiling changed simulated stats");
+    assert!(!profile.is_empty(), "profiler captured nothing");
 }
 
 #[test]
 fn span_tree_shape_is_deterministic_across_repeats() {
     let _t = locked();
-    let (_, first) = digest_profiled(1);
-    let (_, second) = digest_profiled(1);
+    let (_, first) = digest_profiled();
+    let (_, second) = digest_profiled();
     assert_eq!(
         first.shape(),
         second.shape(),
@@ -86,41 +75,11 @@ fn span_tree_shape_is_deterministic_across_repeats() {
 }
 
 #[test]
-fn span_tree_shape_is_stable_across_worker_counts() {
-    let _t = locked();
-    // The threaded engine (>= 2 workers) takes one code path; its merged
-    // shape must not depend on how many workers raced through it.
-    // (threads = 1 takes the serial path and legitimately differs:
-    // drain_serial/gen_inline instead of snapshot/gen_fanout/join/drain.)
-    let (_, two) = digest_profiled(2);
-    let (_, four) = digest_profiled(4);
-    let (_, eight) = digest_profiled(8);
-    assert_eq!(
-        two.shape(),
-        four.shape(),
-        "span shape drifted between 2 and 4 workers"
-    );
-    assert_eq!(
-        four.shape(),
-        eight.shape(),
-        "span shape drifted between 4 and 8 workers"
-    );
-    // The threaded signature phases are present in the merged shape.
-    let shape = two.shape();
-    for phase in ["gen_fanout", "drain", "gen_worker", "stats_merge"] {
-        assert!(
-            shape.contains(phase),
-            "expected phase '{phase}' in threaded shape:\n{shape}"
-        );
-    }
-}
-
-#[test]
 fn disabled_profiler_captures_nothing() {
     let _t = locked();
     prof::reset();
     assert!(!prof::profiling());
-    let _ = digest(2);
+    let _ = digest();
     let p = prof::take();
     assert!(
         p.is_empty(),
